@@ -29,32 +29,43 @@ type node struct {
 // pipeline, the device, and the RX drain. Transactions are pooled on
 // the controller and act as their own engine events (sim.Handler), so
 // the per-request hot path builds no closures: the same object fires
-// at the link hand-off and again at drain completion.
+// at the link hand-off, at device completion and at drain completion,
+// and the device writes its timing straight into res.
 type txn struct {
 	c        *Controller
 	nd       *node
 	link     int
+	bank     int // global bank index, decoded once at Submit
 	req      hmc.Request
 	submit   sim.Time // port-visible submission time
 	res      hmc.AccessResult
 	drainEnd sim.Time
 	done     func(Result)
-	inDevice bool
-	// devDone adapts the device's completion callback onto this txn;
-	// built once when the txn is first allocated, reused thereafter.
-	devDone func(hmc.AccessResult)
-	next    *txn
+	phase    txnPhase
+	next     *txn
 }
 
-// Fire advances the transaction: first firing hands the packet to the
-// device at the link, second firing (armed by receive) completes it.
+// txnPhase is the step a transaction takes when it next fires.
+type txnPhase uint8
+
+const (
+	atLink   txnPhase = iota // hand the packet to the device
+	atDevice                 // response back at the controller RX
+	atDrain                  // response drained into the port
+)
+
+// Fire advances the transaction by one phase.
 func (t *txn) Fire(e *sim.Engine) {
-	if !t.inDevice {
-		t.inDevice = true
-		t.c.dev.Submit(e.Now(), t.link, t.req, t.devDone)
-		return
+	switch t.phase {
+	case atLink:
+		t.phase = atDevice
+		t.c.dev.SubmitHandler(e.Now(), t.link, t.req, &t.res, t)
+	case atDevice:
+		t.phase = atDrain
+		t.c.receive(t)
+	default:
+		t.c.finish(t)
 	}
-	t.c.finish(t)
 }
 
 // Controller models the Micron HMC controller IP plus Pico firmware
@@ -62,9 +73,21 @@ func (t *txn) Fire(e *sim.Engine) {
 // the request flow-control stop signal as a per-bank outstanding
 // admission limit (hmc.Params.BankQueueDepth).
 type Controller struct {
-	eng *sim.Engine
-	dev *hmc.Device
-	p   Params
+	eng  *sim.Engine
+	dev  *hmc.Device
+	amap *hmc.AddressMap
+	p    Params
+
+	// Per-request constants, evaluated once from p and the device
+	// parameters.
+	bankDepth  int
+	respProc   sim.Duration
+	bufferLat  sim.Duration // TX buffering (FlitsToParallel)
+	txFixedLat sim.Duration // arbitration, seq/flow/CRC, SerDes conversion
+	rxFixedLat sim.Duration
+	// txPipe[f] and drain[f] are p.TxPipeTime(f) and p.DrainTime(f)
+	// for every packet flit count f.
+	txPipe, drain [maxFlits + 1]sim.Duration
 
 	nodes  []node
 	drains []sim.Server // per-port response drain
@@ -88,17 +111,30 @@ func NewController(eng *sim.Engine, dev *hmc.Device, p Params) (*Controller, err
 		return nil, fmt.Errorf("fpga: nil engine or device")
 	}
 	banks := dev.Geometry().Banks()
+	dp := dev.Params()
 	c := &Controller{
 		eng:         eng,
 		dev:         dev,
+		amap:        dev.AddressMap(),
 		p:           p,
+		bankDepth:   dp.BankQueueDepth,
+		respProc:    dp.ResponseProcessing,
+		bufferLat:   p.Cycles(p.FlitsToParallelCycles),
+		txFixedLat:  p.Cycles(p.ArbiterCycles + p.SeqFlowCRCCycles + p.SerDesConvertCycles),
+		rxFixedLat:  p.RxFixedLatency(),
 		nodes:       make([]node, dev.Links()),
 		drains:      make([]sim.Server, p.Ports),
 		outstanding: make([]int, banks),
 		waiters:     make([][]func(), banks),
 	}
+	for f := range c.txPipe {
+		c.txPipe[f], c.drain[f] = p.TxPipeTime(f), p.DrainTime(f)
+	}
 	return c, nil
 }
+
+// maxFlits is the flit count of the largest packet.
+const maxFlits = hmc.OverheadBytes/hmc.FlitBytes + hmc.MaxPayloadBytes/hmc.FlitBytes
 
 // MustController is NewController that panics on error.
 func MustController(eng *sim.Engine, dev *hmc.Device, p Params) *Controller {
@@ -120,31 +156,25 @@ func (c *Controller) Device() *hmc.Device { return c.dev }
 // other.
 func (c *Controller) PortLink(port int) int { return port % len(c.nodes) }
 
-// bankOf decodes the admission bookkeeping index for an address.
-func (c *Controller) bankOf(addr uint64) int {
-	loc := c.dev.AddressMap().Decode(addr)
-	return loc.GlobalBank(c.dev.Geometry())
-}
-
 // CanIssue reports whether the flow-control unit would admit a
 // request to addr right now, i.e. the target bank's outstanding count
 // is below the stop threshold.
 func (c *Controller) CanIssue(addr uint64) bool {
-	return c.outstanding[c.bankOf(addr)] < c.dev.Params().BankQueueDepth
+	return c.outstanding[c.amap.GlobalBank(addr)] < c.bankDepth
 }
 
 // WaitBank registers fn to run once a slot frees in addr's bank
 // queue. The caller re-checks CanIssue (multiple waiters may race for
 // one slot).
 func (c *Controller) WaitBank(addr uint64, fn func()) {
-	b := c.bankOf(addr)
+	b := c.amap.GlobalBank(addr)
 	c.waiters[b] = append(c.waiters[b], fn)
 }
 
 // BankOutstanding reports the current outstanding count of the bank
 // holding addr (test/diagnostic hook).
 func (c *Controller) BankOutstanding(addr uint64) int {
-	return c.outstanding[c.bankOf(addr)]
+	return c.outstanding[c.amap.GlobalBank(addr)]
 }
 
 // Submitted and Completed report transaction counts.
@@ -156,11 +186,6 @@ func (c *Controller) newTxn() *txn {
 	t := c.freeTxns
 	if t == nil {
 		t = &txn{c: c}
-		t.devDone = func(res hmc.AccessResult) {
-			// Preserve the port-visible submission time.
-			res.Submit = t.submit
-			c.receive(t, res)
-		}
 	} else {
 		c.freeTxns = t.next
 	}
@@ -170,7 +195,7 @@ func (c *Controller) newTxn() *txn {
 // releaseTxn returns a transaction to the pool.
 func (c *Controller) releaseTxn(t *txn) {
 	t.done = nil
-	t.inDevice = false
+	t.phase = atLink
 	t.next = c.freeTxns
 	c.freeTxns = t
 }
@@ -188,7 +213,7 @@ func (c *Controller) Submit(req hmc.Request, done func(Result)) {
 	now := c.eng.Now()
 	link := c.PortLink(req.Port)
 	nd := &c.nodes[link]
-	bank := c.bankOf(req.Addr)
+	bank := c.amap.GlobalBank(req.Addr)
 	c.outstanding[bank]++
 	c.submitted++
 
@@ -196,35 +221,33 @@ func (c *Controller) Submit(req hmc.Request, done func(Result)) {
 
 	// TX: buffering, then the node flit pipeline, then the remaining
 	// fixed stages ahead of link serialization.
-	buffered := now + c.p.Cycles(c.p.FlitsToParallelCycles)
-	_, pipeEnd := nd.txPipe.ReserveAt(now, buffered, c.p.TxPipeTime(reqFlits))
-	atLink := pipeEnd + c.p.Cycles(c.p.ArbiterCycles+c.p.SeqFlowCRCCycles+c.p.SerDesConvertCycles)
+	_, pipeEnd := nd.txPipe.ReserveAt(now, now+c.bufferLat, c.txPipe[reqFlits])
 
 	t := c.newTxn()
-	t.nd, t.link, t.req, t.submit, t.done = nd, link, req, now, done
-	c.eng.AtHandler(atLink, t)
+	t.nd, t.link, t.bank, t.req, t.submit, t.done = nd, link, bank, req, now, done
+	c.eng.AtHandler(pipeEnd+c.txFixedLat, t)
 }
 
-// receive drives the RX path: response processing on the node, fixed
-// verification latency, then the per-port drain.
-func (c *Controller) receive(t *txn, res hmc.AccessResult) {
+// receive drives the RX path once the device has written t.res:
+// response processing on the node, fixed verification latency, then
+// the per-port drain.
+func (c *Controller) receive(t *txn) {
+	// Preserve the port-visible submission time.
+	t.res.Submit = t.submit
 	nowRx := c.eng.Now()
-	_, procEnd := t.nd.rxProc.Reserve(nowRx, c.dev.Params().ResponseProcessing)
-	verified := procEnd + c.p.RxFixedLatency()
+	_, procEnd := t.nd.rxProc.Reserve(nowRx, c.respProc)
 	respFlits := t.req.WireBytesResponse() / hmc.FlitBytes
-	_, drainEnd := c.drains[t.req.Port].ReserveAt(nowRx, verified, c.p.DrainTime(respFlits))
-	t.res, t.drainEnd = res, drainEnd
-	c.eng.AtHandler(drainEnd, t)
+	_, t.drainEnd = c.drains[t.req.Port].ReserveAt(nowRx, procEnd+c.rxFixedLat, c.drain[respFlits])
+	c.eng.AtHandler(t.drainEnd, t)
 }
 
 // finish completes a drained transaction: bookkeeping, waiter wakeup,
 // then the port callback. The txn returns to the pool first so that
 // reentrant submissions from the callback reuse it.
 func (c *Controller) finish(t *txn) {
-	done, res, drainEnd, addr := t.done, t.res, t.drainEnd, t.req.Addr
+	done, bank := t.done, t.bank
 	c.releaseTxn(t)
 	c.completed++
-	bank := c.bankOf(addr)
 	c.outstanding[bank]--
 	// Wake every waiter; they re-check admission. Waiters are copied
 	// to a scratch buffer so wakeups that immediately re-wait append
@@ -236,5 +259,8 @@ func (c *Controller) finish(t *txn) {
 			w()
 		}
 	}
-	done(Result{AccessResult: res, PortDeliver: drainEnd})
+	// A waiter may have taken t from the pool, but a reused txn
+	// rewrites res and drainEnd only when it next fires, so the
+	// record is still intact here.
+	done(Result{AccessResult: t.res, PortDeliver: t.drainEnd})
 }

@@ -225,3 +225,88 @@ func TestClockCycle(t *testing.T) {
 		t.Fatalf("Cycles(10) = %v", got)
 	}
 }
+
+// TestBankConservation: every submitted transaction completes and
+// returns its carried bank slot, on the normal path and on the
+// error path of a device that fails mid-stream.
+func TestBankConservation(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		eng, dev, ctrl := newRig(t)
+		g := dev.Geometry()
+		amap := dev.AddressMap()
+		var completed, errored int
+		done := func(r Result) {
+			completed++
+			if r.Err {
+				errored++
+			}
+		}
+		// Three rounds over every bank, mixing reads and writes of
+		// every size class, spread over all ports.
+		n := 0
+		for round := 0; round < 3; round++ {
+			for vault := 0; vault < g.Vaults; vault++ {
+				for bank := 0; bank < g.BanksPerVault; bank++ {
+					addr := amap.Encode(vault, bank, uint64(round*7+bank))
+					req := hmc.Request{Addr: addr, Size: 16 << uint(n%4), Write: n%3 == 0, Port: n % ctrl.Params().Ports}
+					ctrl.Submit(req, done)
+					n++
+				}
+			}
+			eng.RunUntil(eng.Now() + 200*sim.Nanosecond)
+			if fail && round == 1 {
+				dev.TriggerThermalFailure()
+			}
+		}
+		eng.Run()
+		if ctrl.Submitted() != uint64(n) || ctrl.Completed() != uint64(n) || completed != n {
+			t.Fatalf("fail=%v: submitted/completed/callbacks = %d/%d/%d, want %d",
+				fail, ctrl.Submitted(), ctrl.Completed(), completed, n)
+		}
+		if fail != (errored > 0) {
+			t.Fatalf("fail=%v: %d error completions", fail, errored)
+		}
+		for vault := 0; vault < g.Vaults; vault++ {
+			for bank := 0; bank < g.BanksPerVault; bank++ {
+				if got := ctrl.BankOutstanding(amap.Encode(vault, bank, 0)); got != 0 {
+					t.Fatalf("fail=%v: vault %d bank %d outstanding = %d after drain", fail, vault, bank, got)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkControllerRoundTrip times one request through the
+// controller and device at the paper's GUPS operating point: 9 ports
+// x 64 tags of 128 B random reads, each completion immediately
+// issuing the port's next read. The loop runs in steady state (it is
+// never drained), and CI gates the path at 0 allocs/op.
+func BenchmarkControllerRoundTrip(b *testing.B) {
+	eng := sim.NewEngine()
+	dev := hmc.MustDevice(eng, hmc.DefaultParams(), hmc.MustAddressMap(hmc.Geometries(hmc.HMC11), hmc.Block128))
+	ctrl := MustController(eng, dev, DefaultParams())
+	p := ctrl.Params()
+	rng := sim.NewRNG(1)
+	mask := dev.AddressMap().CapacityMask() &^ 127
+	done := make([]func(Result), p.Ports)
+	issue := func(port int) {
+		ctrl.Submit(hmc.Request{Addr: rng.Uint64() & mask, Size: 128, Port: port}, done[port])
+	}
+	for port := range done {
+		done[port] = func(Result) { issue(port) }
+	}
+	for tag := 0; tag < p.TagPoolDepth; tag++ {
+		for port := range done {
+			issue(port)
+		}
+	}
+	run := func(n int) {
+		for target := ctrl.Completed() + uint64(n); ctrl.Completed() < target; {
+			eng.Step()
+		}
+	}
+	run(100000) // warm the txn pool and the event calendar
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}

@@ -95,12 +95,21 @@ type AddressMap struct {
 	qShift    uint
 	bankShift uint
 	rowShift  uint
+	// rowDivShift is log2 of the max blocks per DRAM row: a 256 B row
+	// spans several max blocks in the same bank, so the row index
+	// shifts out that factor above rowShift.
+	rowDivShift uint
+
+	vaultMask int // Vaults-1: quadrant and vault-in-quadrant are adjacent fields
+	vqMask    int
+	bankMask  int
 
 	addrMask uint64 // significant low-order address bits
 }
 
 // NewAddressMap builds the mapping; it fails on a non-power-of-two
-// geometry or an invalid block size.
+// geometry (vaults, quadrants, banks or page size) or an invalid block
+// size, since Decode is pure shifts and masks.
 func NewAddressMap(g Geometry, maxBlock MaxBlockSize) (*AddressMap, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -109,7 +118,7 @@ func NewAddressMap(g Geometry, maxBlock MaxBlockSize) (*AddressMap, error) {
 		return nil, fmt.Errorf("hmc: invalid max block size %d", int(maxBlock))
 	}
 	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
-	if !pow2(g.Vaults) || !pow2(g.Quadrants) || !pow2(g.BanksPerVault) {
+	if !pow2(g.Vaults) || !pow2(g.Quadrants) || !pow2(g.BanksPerVault) || !pow2(g.PageBytes) {
 		return nil, fmt.Errorf("hmc: geometry not power-of-two: %+v", g)
 	}
 	m := &AddressMap{geo: g, maxBlock: maxBlock}
@@ -122,6 +131,13 @@ func NewAddressMap(g Geometry, maxBlock MaxBlockSize) (*AddressMap, error) {
 	m.qShift = m.vqShift + uint(m.vqBits)
 	m.bankShift = m.qShift + uint(m.qBits)
 	m.rowShift = m.bankShift + uint(m.bankBits)
+	if g.PageBytes > int(maxBlock) {
+		m.rowDivShift = uint(bits.TrailingZeros(uint(g.PageBytes / int(maxBlock))))
+	}
+
+	m.vaultMask = g.Vaults - 1
+	m.vqMask = g.VaultsPerQuadrant() - 1
+	m.bankMask = g.BanksPerVault - 1
 
 	capBits := bits.TrailingZeros64(g.SizeBytes)
 	m.addrMask = (uint64(1) << capBits) - 1
@@ -152,24 +168,23 @@ func (m *AddressMap) CapacityMask() uint64 { return m.addrMask }
 // Decode maps a physical address to its structural location.
 func (m *AddressMap) Decode(addr uint64) Location {
 	a := addr & m.addrMask
-	field := func(shift uint, width int) uint64 {
-		return (a >> shift) & ((1 << uint(width)) - 1)
-	}
-	loc := Location{
-		VaultInQuadrant: int(field(m.vqShift, m.vqBits)),
-		Quadrant:        int(field(m.qShift, m.qBits)),
-		Bank:            int(field(m.bankShift, m.bankBits)),
+	vault := int(a>>m.vqShift) & m.vaultMask
+	return Location{
+		Quadrant:        vault >> uint(m.vqBits),
+		VaultInQuadrant: vault & m.vqMask,
+		Vault:           vault,
+		Bank:            int(a>>m.bankShift) & m.bankMask,
+		Row:             a >> m.rowShift >> m.rowDivShift,
 		BlockOffset:     (a >> 4 & ((1 << uint(m.offsetBits)) - 1)) * elementBytes,
 	}
-	loc.Vault = loc.Quadrant*m.geo.VaultsPerQuadrant() + loc.VaultInQuadrant
-	// A 256 B row spans several max blocks in the same bank; the row
-	// index therefore divides out the blocks-per-row factor.
-	blocksPerRow := uint64(m.geo.PageBytes) / uint64(m.maxBlock)
-	if blocksPerRow == 0 {
-		blocksPerRow = 1
-	}
-	loc.Row = (a >> m.rowShift) / blocksPerRow
-	return loc
+}
+
+// GlobalBank is Decode(addr).GlobalBank(geometry) without building the
+// Location: the dense device-wide bank index of addr.
+func (m *AddressMap) GlobalBank(addr uint64) int {
+	a := addr & m.addrMask
+	vault := int(a>>m.vqShift) & m.vaultMask
+	return vault<<uint(m.bankBits) | int(a>>m.bankShift)&m.bankMask
 }
 
 // Encode is the inverse of Decode: it builds the lowest address that
@@ -178,14 +193,10 @@ func (m *AddressMap) Encode(vault, bank int, row uint64) uint64 {
 	g := m.geo
 	q := vault / g.VaultsPerQuadrant()
 	vq := vault % g.VaultsPerQuadrant()
-	blocksPerRow := uint64(g.PageBytes) / uint64(m.maxBlock)
-	if blocksPerRow == 0 {
-		blocksPerRow = 1
-	}
 	a := uint64(vq)<<m.vqShift |
 		uint64(q)<<m.qShift |
 		uint64(bank)<<m.bankShift |
-		(row*blocksPerRow)<<m.rowShift
+		row<<m.rowDivShift<<m.rowShift
 	return a & m.addrMask
 }
 

@@ -4,9 +4,10 @@ import "testing"
 
 // FuzzAddressRoundTrip checks the mask/mapping round-trip invariants
 // of the address map for every geometry and max-block mode: Decode
-// must stay in structural range, Encode(Decode(a)) must decode back
-// to the same (vault, bank, row), and the capacity mask must bound
-// everything.
+// must stay in structural range and agree with the reference
+// division-based decode (checkShiftDecode), Encode(Decode(a)) must
+// decode back to the same (vault, bank, row), and the capacity mask
+// must bound everything.
 func FuzzAddressRoundTrip(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(uint64(0x1234_5678))
@@ -44,6 +45,7 @@ func FuzzAddressRoundTrip(f *testing.F) {
 			if gb := loc.GlobalBank(g); gb < 0 || gb >= g.Vaults*g.BanksPerVault {
 				t.Fatalf("%v/%d: global bank %d out of range", g.Gen, m.MaxBlock(), gb)
 			}
+			checkShiftDecode(t, m, addr)
 
 			enc := m.Encode(loc.Vault, loc.Bank, loc.Row)
 			if enc > m.CapacityMask() {

@@ -278,6 +278,58 @@ func TestNewAddressMapErrors(t *testing.T) {
 	}
 }
 
+func TestNewAddressMapRejectsNonPow2Page(t *testing.T) {
+	g := Geometries(HMC11)
+	g.PageBytes = 384 // the row decode is a shift; 384/128 is not
+	if _, err := NewAddressMap(g, Block128); err == nil {
+		t.Error("non-power-of-two page size accepted")
+	}
+}
+
+// checkShiftDecode compares the shift-and-mask decode against the
+// reference arithmetic it replaced: the row divides out the max blocks
+// per page, the vault is composed from quadrant and vault-in-quadrant,
+// and GlobalBank(addr) matches the Location's dense bank index.
+func checkShiftDecode(t *testing.T, m *AddressMap, addr uint64) {
+	t.Helper()
+	g := m.Geometry()
+	loc := m.Decode(addr)
+	a := addr & m.CapacityMask()
+	blocksPerRow := uint64(g.PageBytes) / uint64(m.MaxBlock())
+	if blocksPerRow == 0 {
+		blocksPerRow = 1
+	}
+	if want := (a >> m.rowShift) / blocksPerRow; loc.Row != want {
+		t.Fatalf("%v/%d: Decode(%#x).Row = %d, want %d", g.Gen, m.MaxBlock(), addr, loc.Row, want)
+	}
+	if want := loc.Quadrant*g.VaultsPerQuadrant() + loc.VaultInQuadrant; loc.Vault != want {
+		t.Fatalf("%v/%d: Decode(%#x).Vault = %d, want %d", g.Gen, m.MaxBlock(), addr, loc.Vault, want)
+	}
+	if got, want := m.GlobalBank(addr), loc.GlobalBank(g); got != want {
+		t.Fatalf("%v/%d: GlobalBank(%#x) = %d, want %d", g.Gen, m.MaxBlock(), addr, got, want)
+	}
+}
+
+func TestShiftDecodeMatchesReference(t *testing.T) {
+	rng := uint64(0x9e3779b97f4a7c15)
+	for _, gen := range []Generation{HMC10, HMC11, HMC20} {
+		for _, mb := range []MaxBlockSize{Block16, Block32, Block64, Block128} {
+			m := MustAddressMap(Geometries(gen), mb)
+			// Every max block of the first rows, then scattered
+			// addresses across the whole 64-bit range.
+			for a := uint64(0); a < 1<<16; a += 16 {
+				checkShiftDecode(t, m, a)
+			}
+			for i := 0; i < 4096; i++ {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				checkShiftDecode(t, m, rng)
+			}
+		}
+	}
+}
+
 func TestHMC20AddressMap(t *testing.T) {
 	// HMC 2.0 has 8 vaults per quadrant (3 vq bits): the mapping must
 	// still be a bijection onto vault ids.

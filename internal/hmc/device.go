@@ -127,6 +127,11 @@ type Device struct {
 	// so the per-access hot path allocates nothing in steady state.
 	deliver sim.Deliverer[AccessResult]
 
+	// linkByte and tsvBeat are p.LinkByteTime() and p.TSVBeatTime(),
+	// and beats[size/FlitBytes] is p.Beats(size), evaluated once.
+	linkByte, tsvBeat sim.Duration
+	beats             [MaxPayloadBytes/FlitBytes + 1]sim.Duration
+
 	counters Counters
 }
 
@@ -141,7 +146,11 @@ func NewDevice(eng *sim.Engine, p Params, amap *AddressMap) (*Device, error) {
 	}
 	g := amap.Geometry()
 	d := &Device{eng: eng, p: p, geo: g, amap: amap, policy: ClosedPage,
-		deliver: sim.NewDeliverer[AccessResult](eng)}
+		deliver:  sim.NewDeliverer[AccessResult](eng),
+		linkByte: p.LinkByteTime(), tsvBeat: p.TSVBeatTime()}
+	for i := range d.beats {
+		d.beats[i] = sim.Duration(p.Beats(i * FlitBytes))
+	}
 	d.links = make([]linkState, p.Links.Count)
 	for i := range d.links {
 		// Each link attaches to one quadrant; with two links the
@@ -227,58 +236,55 @@ func (d *Device) Reset() {
 // link; done is invoked (as a scheduled event) when the response has
 // fully arrived back at the controller's receiver.
 func (d *Device) Submit(now sim.Time, link int, req Request, done func(AccessResult)) {
+	var res AccessResult
+	d.access(now, link, req, &res)
+	d.deliver.Deliver(res.Deliver, res, done)
+}
+
+// SubmitHandler is Submit for a caller that owns the completion
+// record: the timing is written into *res, and h fires at res.Deliver.
+// The FPGA controller uses it so that one pooled transaction carries
+// the result without a callback or a copy.
+func (d *Device) SubmitHandler(now sim.Time, link int, req Request, res *AccessResult, h sim.Handler) {
+	d.access(now, link, req, res)
+	d.eng.AtHandler(res.Deliver, h)
+}
+
+// access computes the full timing of one link-side request issued at
+// now, reserving the link, vault and bank resources it occupies, and
+// writes it to *res.
+func (d *Device) access(now sim.Time, link int, req Request, res *AccessResult) {
 	if link < 0 || link >= len(d.links) {
 		panic(fmt.Sprintf("hmc: link %d out of range", link))
 	}
 	if !ValidPayload(req.Size) {
 		panic(fmt.Sprintf("hmc: invalid request size %d", req.Size))
 	}
-	loc := d.amap.Decode(req.Addr)
-	res := AccessResult{Req: req, Loc: loc, Submit: now}
-
 	if d.failed {
 		// The device returns error-flagged responses promptly; no
 		// DRAM access happens.
 		d.counters.Rejected++
-		res.Err = true
-		res.Deliver = now + d.p.LinkWireLatency*2 + d.p.IngressLatency
-		d.deliver.Deliver(res.Deliver, res, done)
+		*res = AccessResult{Req: req, Loc: d.amap.Decode(req.Addr), Submit: now, Err: true,
+			Deliver: now + d.p.LinkWireLatency*2 + d.p.IngressLatency}
 		return
 	}
+	// Every remaining field is written below; assigning them one by
+	// one keeps the record from being built and copied whole.
+	res.Req, res.Submit, res.Err = req, now, false
+	res.Loc = d.amap.Decode(req.Addr)
+	loc := &res.Loc
 
 	ls := &d.links[link]
+	reqWire, respWire := req.WireBytesRequest(), req.WireBytesResponse()
 	// Request serialization onto the link (TX direction).
-	_, serEnd := ls.tx.Reserve(now, d.p.SerializationTime(req.WireBytesRequest()))
+	_, serEnd := ls.tx.Reserve(now, d.serialization(reqWire))
 	arrive := serEnd + d.p.LinkWireLatency + d.p.IngressLatency
 	if loc.Quadrant != ls.quadrant {
 		arrive += d.p.QuadrantHop
 	}
 	res.DeviceArrive = arrive
 
-	v := d.vaults[loc.Vault]
-	beats := d.p.Beats(req.Size)
-	frontOcc := d.p.VaultRequestOverhead + sim.Duration(beats)*d.p.VaultRequestBeat
-	_, frontEnd := v.front.ReserveAt(now, arrive, frontOcc)
-
-	// Bank occupancy: closed-page pays the full row cycle on every
-	// access; open-page skips activation+precharge on a row hit.
-	occ := d.p.BankAccess + sim.Duration(beats)*d.p.BankBeat
-	bank := &v.banks[loc.Bank]
-	if d.policy == OpenPage {
-		if bank.hasOpen && bank.openRow == loc.Row {
-			occ = sim.Duration(beats) * d.p.BankBeat
-			d.counters.RowHits++
-		} else {
-			d.counters.RowMisses++
-		}
-		bank.hasOpen, bank.openRow = true, loc.Row
-	}
-	bStart, bEnd := bank.srv.ReserveAt(now, frontEnd, occ)
-	res.BankStart, res.BankEnd = bStart, bEnd
-
-	// Vault data bus (TSV) transfer at 32 B granularity.
-	_, tsvEnd := v.tsv.ReserveAt(now, bEnd, sim.Duration(beats)*d.p.TSVBeatTime())
-
+	_, tsvEnd := d.vaultAccess(now, arrive, res)
 	respReady := tsvEnd + d.p.EgressLatency
 	if loc.Quadrant != ls.quadrant {
 		respReady += d.p.QuadrantHop
@@ -286,19 +292,56 @@ func (d *Device) Submit(now sim.Time, link int, req Request, done func(AccessRes
 	res.RespDepart = respReady
 
 	// Response serialization back over the same link (RX direction).
-	_, respSerEnd := ls.rx.ReserveAt(now, respReady, d.p.SerializationTime(req.WireBytesResponse()))
+	_, respSerEnd := ls.rx.ReserveAt(now, respReady, d.serialization(respWire))
 	res.Deliver = respSerEnd + d.p.LinkWireLatency
 
-	// Accounting.
+	d.count(req, uint64(reqWire+respWire))
+}
+
+// serialization is p.SerializationTime with the byte time precomputed.
+func (d *Device) serialization(wireBytes int) sim.Duration {
+	return sim.Duration(wireBytes)*d.linkByte + d.p.LinkPacketGap
+}
+
+// vaultAccess runs res's request, which reaches its vault controller
+// at arrive, through the vault front end, the bank and the TSV data
+// bus. It records the bank occupancy window in res and returns when
+// the front end released the request and when the data left the TSVs.
+func (d *Device) vaultAccess(now, arrive sim.Time, res *AccessResult) (frontEnd, tsvEnd sim.Time) {
+	loc := &res.Loc
+	v := d.vaults[loc.Vault]
+	beats := d.beats[res.Req.Size/FlitBytes]
+	_, frontEnd = v.front.ReserveAt(now, arrive, d.p.VaultRequestOverhead+beats*d.p.VaultRequestBeat)
+
+	// Bank occupancy: closed-page pays the full row cycle on every
+	// access; open-page skips activation+precharge on a row hit.
+	occ := d.p.BankAccess + beats*d.p.BankBeat
+	bank := &v.banks[loc.Bank]
+	if d.policy == OpenPage {
+		if bank.hasOpen && bank.openRow == loc.Row {
+			occ = beats * d.p.BankBeat
+			d.counters.RowHits++
+		} else {
+			d.counters.RowMisses++
+		}
+		bank.hasOpen, bank.openRow = true, loc.Row
+	}
+	res.BankStart, res.BankEnd = bank.srv.ReserveAt(now, frontEnd, occ)
+
+	// Vault data bus (TSV) transfer at 32 B granularity.
+	_, tsvEnd = v.tsv.ReserveAt(now, res.BankEnd, beats*d.tsvBeat)
+	return frontEnd, tsvEnd
+}
+
+// count records one completed access moving wireBytes of traffic.
+func (d *Device) count(req Request, wireBytes uint64) {
 	if req.Write {
 		d.counters.Writes++
 	} else {
 		d.counters.Reads++
 	}
 	d.counters.DataBytes += uint64(req.Size)
-	d.counters.WireBytes += uint64(req.WireBytesRequest() + req.WireBytesResponse())
-
-	d.deliver.Deliver(res.Deliver, res, done)
+	d.counters.WireBytes += wireBytes
 }
 
 // SubmitLocal performs a vault-local access from a compute element in
@@ -310,8 +353,7 @@ func (d *Device) SubmitLocal(now sim.Time, req Request, done func(AccessResult))
 	if !ValidPayload(req.Size) {
 		panic(fmt.Sprintf("hmc: invalid request size %d", req.Size))
 	}
-	loc := d.amap.Decode(req.Addr)
-	res := AccessResult{Req: req, Loc: loc, Submit: now}
+	res := AccessResult{Req: req, Loc: d.amap.Decode(req.Addr), Submit: now}
 	if d.failed {
 		d.counters.Rejected++
 		res.Err = true
@@ -319,38 +361,12 @@ func (d *Device) SubmitLocal(now sim.Time, req Request, done func(AccessResult))
 		d.deliver.Deliver(res.Deliver, res, done)
 		return
 	}
-	v := d.vaults[loc.Vault]
-	beats := d.p.Beats(req.Size)
-	frontOcc := d.p.VaultRequestOverhead + sim.Duration(beats)*d.p.VaultRequestBeat
-	_, frontEnd := v.front.ReserveAt(now, now, frontOcc)
-	res.DeviceArrive = frontEnd
+	res.DeviceArrive, res.RespDepart = d.vaultAccess(now, now, &res)
+	res.Deliver = res.RespDepart
 
-	occ := d.p.BankAccess + sim.Duration(beats)*d.p.BankBeat
-	bank := &v.banks[loc.Bank]
-	if d.policy == OpenPage {
-		if bank.hasOpen && bank.openRow == loc.Row {
-			occ = sim.Duration(beats) * d.p.BankBeat
-			d.counters.RowHits++
-		} else {
-			d.counters.RowMisses++
-		}
-		bank.hasOpen, bank.openRow = true, loc.Row
-	}
-	bStart, bEnd := bank.srv.ReserveAt(now, frontEnd, occ)
-	res.BankStart, res.BankEnd = bStart, bEnd
-	_, tsvEnd := v.tsv.ReserveAt(now, bEnd, sim.Duration(beats)*d.p.TSVBeatTime())
-	res.RespDepart = tsvEnd
-	res.Deliver = tsvEnd
-
-	if req.Write {
-		d.counters.Writes++
-	} else {
-		d.counters.Reads++
-	}
-	d.counters.DataBytes += uint64(req.Size)
 	// Local accesses move no link bytes; only the payload crosses the
 	// TSVs. Wire accounting therefore counts data only.
-	d.counters.WireBytes += uint64(req.Size)
+	d.count(req, uint64(req.Size))
 
 	d.deliver.Deliver(res.Deliver, res, done)
 }

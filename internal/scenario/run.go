@@ -285,11 +285,12 @@ func Run(spec Spec, o Options) (Result, error) {
 	switch spec.Backend {
 	case "hmc":
 		if o.Thermal || o.Faults.Active() || spec.needsGenericDrivers() {
-			// Thermal throttling, fault injection and the generic-only
-			// traffic features (burst, ramps, lifecycle) all interpose
-			// on mem.Port, which the cycle-accurate gups.Port loops
-			// bypass; those runs take the generic driver path.
-			// Fixed-rate phase schedules stay on the gups path.
+			// Thermal throttling and fault injection decorate the
+			// backend, which gups.BuildRigPorts cannot wrap, and the
+			// retries, burst, ramp and lifecycle features live only in
+			// the tenant driver; those runs take the generic driver
+			// path (see runHMCDrivers). Fixed-rate phase schedules
+			// stay on the gups path.
 			return runHMCDrivers(spec, o)
 		}
 		return runSingle(spec, o)

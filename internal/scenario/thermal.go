@@ -138,10 +138,11 @@ func (s *ThermalStats) Throttled() bool {
 
 // runHMCDrivers executes a decorated scenario on the single cube:
 // the rig's mem.Backend shim behind the throttle and/or fault
-// decorators, driven by the backend-generic tenant drivers (the
-// cycle-accurate gups.Port loops bypass mem.Port, which the
-// decorators interpose on, so the classic runSingle path stays
-// reserved for undecorated open-loop runs).
+// decorators, driven by the backend-generic tenant drivers. gups.Port
+// drives any mem.Port, but gups.BuildRigPorts binds its ports to the
+// bare rig backend, and the gups.Port loop has none of the tenant
+// driver's retry, deadline, burst, ramp or lifecycle handling, so the
+// classic runSingle path stays reserved for undecorated runs.
 func runHMCDrivers(spec Spec, o Options) (Result, error) {
 	eng := sim.NewEngine()
 	amap, err := hmc.NewAddressMap(hmc.Geometries(hmc.HMC11), hmc.DefaultMaxBlock)
