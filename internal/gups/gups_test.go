@@ -318,3 +318,33 @@ func TestDefaultGenerationDeliberate(t *testing.T) {
 		t.Error("negative generation accepted")
 	}
 }
+
+// TestQueueSettlesAcrossSeeds pins the event wheel's tuning on the
+// paper's headline GUPS point: the seed changes only the addresses, so
+// every seed must settle on the same wheel geometry. A wheel that
+// locks a seed into slots too narrow for its µs-scale round trips
+// sends a quarter of that seed's pushes through the overflow heap.
+func TestQueueSettlesAcrossSeeds(t *testing.T) {
+	var want sim.QueueStats
+	for seed := uint64(1); seed <= 16; seed++ {
+		rig, err := BuildRig(Config{Type: ReadOnly, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range rig.Ports {
+			p.Start()
+		}
+		rig.Eng.RunUntil(150 * sim.Microsecond)
+		st := rig.Eng.QueueStats()
+		t.Logf("seed %d: %+v", seed, st)
+		if seed == 1 {
+			want = st
+		} else if st.SlotWidth != want.SlotWidth || st.Slots != want.Slots {
+			t.Errorf("seed %d settled on %d slots of %v, seed 1 on %d slots of %v",
+				seed, st.Slots, st.SlotWidth, want.Slots, want.SlotWidth)
+		}
+		if 16*st.Overflow > st.Pushes {
+			t.Errorf("seed %d: %d of %d pushes overflowed, want <= 1/16", seed, st.Overflow, st.Pushes)
+		}
+	}
+}

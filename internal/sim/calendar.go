@@ -34,12 +34,21 @@ import (
 // RunUntil does) is passive: the cursor only commits to a new slot
 // when an event is actually popped, which also advances the clock.
 //
-// The slot width self-tunes: the queue keeps an EMA of the non-zero
-// gaps between successively popped timestamps and re-keys the wheel
-// when the ideal width drifts 4x from the current one, keeping both
-// ns-scale bank events and µs-scale refresh ticks O(1) amortized. The
-// ring doubles when the resident population outgrows it. Tuning
-// affects performance only — the pop order is exact (at, seq)
+// The geometry tunes itself from what it measures over an epoch of at
+// least max(1024, slots) pops. The slot width follows the epoch's mean
+// pop-to-pop gap, so a slot holds one or two events and draining stays
+// O(1); the width alone re-keys only when that mean leaves
+// [width/4, 2*width), so a gap on a power-of-two boundary cannot flip
+// it back and forth. The coverage window follows the 31/32 quantile of
+// push deltas (at - now), read off a log2 histogram with one increment
+// per wheel push, so all but the tail of pushes land on the wheel.
+// When more than 1/16 of an epoch's pushes still detour through the
+// overflow heap and the coverage falls short of that quantile, the
+// wheel widens even if the width is only one step off. The ring grows
+// to keep at most two resident events per slot and never shrinks, and
+// every re-key keeps the slots' warmed capacities, so a settled queue
+// stops re-keying and stops allocating.
+// Tuning affects performance only — the pop order is exact (at, seq)
 // regardless of geometry, which is what the golden regressions and
 // the differential tests pin down.
 //
@@ -70,11 +79,19 @@ type calQueue struct {
 	single    event
 	hasSingle bool
 
-	pops      uint64 // pop counter, drives periodic retuning
-	lastRekey uint64 // pops at the last re-key (cooldown guard)
-	lastAt    Time   // timestamp of the most recently popped event
-	emaGap    Time   // EMA of non-zero pop-to-pop timestamp gaps
-	emaDelta  Time   // EMA of push-time scheduling deltas (at - now)
+	pops   uint64 // pop counter, drives the tuning epochs
+	lastAt Time   // timestamp of the most recently popped event
+
+	// Epoch measurements: the pop count, timestamp and overflow count
+	// at the epoch's start, the pop count that ends it, and a log2
+	// histogram of its wheel-push deltas (bucket bits.Len64(at - now)).
+	epochPops uint64
+	epochEnd  uint64
+	epochAt   Time
+	epochOver uint64
+	hist      [65]uint64
+
+	pushes, overflows, rekeys uint64 // lifetime totals, see QueueStats
 
 	scratch []event // reusable buffer for re-keying
 }
@@ -82,15 +99,15 @@ type calQueue struct {
 const (
 	calMinSlots = 64
 	calMaxSlots = 1 << 10
-	calMinShift = 0  // 1 ps slots
 	calMaxShift = 36 // ~69 ms slots
 	// calInitShift is the width before any gap has been observed:
 	// 1.024 ns, matching the ns-scale events that dominate the models.
 	calInitShift = 10
-	// calTuneMask: evaluate the retune condition every 64 pops. Small
-	// enough that a cold queue re-keys during warmup (so steady state
-	// stays allocation-free), large enough to amortize the check.
-	calTuneMask = 64 - 1
+	// calEpoch is the minimum number of pops per tuning epoch.
+	calEpoch = 1024
+	// calSlotCap is the capacity a slot is created with, so a fresh
+	// slot does not grow one event at a time.
+	calSlotCap = 8
 )
 
 func (q *calQueue) len() int {
@@ -107,6 +124,7 @@ func (q *calQueue) width() Time { return 1 << q.shift }
 // push inserts ev. now is the engine clock, a floor for ev.at and for
 // every future push; an idle queue re-anchors its coverage there.
 func (q *calQueue) push(ev event, now Time) {
+	q.pushes++
 	if q.hasSingle {
 		// A second event arrives: demote the register to the wheel.
 		q.hasSingle = false
@@ -125,14 +143,12 @@ func (q *calQueue) push(ev event, now Time) {
 
 // wheelPush places ev on the wheel or the overflow heap.
 func (q *calQueue) wheelPush(ev event, now Time) {
-	if delta := ev.at - now; delta > 0 {
-		q.emaDelta += (delta - q.emaDelta) >> 3
-	}
+	q.hist[bits.Len64(uint64(ev.at-now))]++
 	if q.slots == nil {
 		q.slots = make([][]event, calMinSlots)
 		q.mask = calMinSlots - 1
 		q.shift = calInitShift
-		q.emaGap = q.width()
+		q.epochEnd = calEpoch
 		q.anchor(now)
 	} else if q.slotN == 0 && len(q.overflow) == 0 {
 		// Idle queue: re-anchor coverage at the clock so a long quiet
@@ -142,27 +158,34 @@ func (q *calQueue) wheelPush(ev event, now Time) {
 	}
 	if ev.at >= q.horizon {
 		q.overflow.push(ev)
+		q.overflows++
 	} else {
-		idx := int(ev.at>>q.shift) & q.mask
-		if idx == q.cur {
-			q.insertCur(ev)
-		} else {
-			q.slots[idx] = append(q.slots[idx], ev)
-		}
-		q.slotN++
+		q.place(ev)
 	}
 	if n := len(q.slots); q.len() > 2*n && n < calMaxSlots {
 		q.rekey(q.shift, 2*n)
 	}
 }
 
-// insertCur places ev at its (at, seq)-sorted position within the
-// unconsumed region of the cursor slot. ev carries the largest seq
-// issued so far, so it sorts after every pending event with the same
-// timestamp — preserving FIFO within a timestep.
-func (q *calQueue) insertCur(ev event) {
-	s := q.slots[q.cur]
-	lo, hi := q.head, len(s)
+// place puts ev, which lies inside the wheel's coverage, into its
+// slot, creating the slot at calSlotCap. The cursor slot is served in
+// sorted order, so there ev moves to its (at, seq) position among the
+// unconsumed events. It goes after every event with the same
+// timestamp: a push carries the largest seq issued so far, and
+// re-keys and overflow migration place events in (at, seq) order.
+func (q *calQueue) place(ev event) {
+	idx := int(ev.at>>q.shift) & q.mask
+	s := q.slots[idx]
+	if cap(s) == 0 {
+		s = make([]event, 0, calSlotCap)
+	}
+	s = append(s, ev)
+	q.slots[idx] = s
+	q.slotN++
+	if idx != q.cur {
+		return
+	}
+	lo, hi := q.head, len(s)-1
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if ev.at < s[mid].at {
@@ -171,10 +194,8 @@ func (q *calQueue) insertCur(ev event) {
 			lo = mid + 1
 		}
 	}
-	s = append(s, event{})
-	copy(s[lo+1:], s[lo:])
+	copy(s[lo+1:], s[lo:len(s)-1])
 	s[lo] = ev
-	q.slots[q.cur] = s
 }
 
 // anchor re-keys the wheel's coverage window to start at the slot
@@ -195,10 +216,7 @@ func (q *calQueue) anchor(t Time) {
 // so runs landing in one slot arrive already sorted.
 func (q *calQueue) drainOverflow() {
 	for len(q.overflow) > 0 && q.overflow[0].at < q.horizon {
-		ev := q.overflow.pop()
-		idx := int(ev.at>>q.shift) & q.mask
-		q.slots[idx] = append(q.slots[idx], ev)
-		q.slotN++
+		q.place(q.overflow.pop())
 	}
 }
 
@@ -295,80 +313,57 @@ func (q *calQueue) headAt() (Time, bool) {
 	return 0, false
 }
 
-// tune folds the observed pop-to-pop gap into the width EMA and
-// periodically re-keys the wheel when its geometry has drifted away
-// from the workload. The cooldown keeps a pathological workload from
-// re-keying more than once per 64 pops.
+// tune counts a pop and, at the end of each epoch, re-keys the wheel
+// when the epoch's measurements show its geometry no longer fits.
 func (q *calQueue) tune(at Time) {
-	if gap := at - q.lastAt; gap > 0 {
-		q.emaGap += (gap - q.emaGap) >> 3
-		if q.emaGap < 1 {
-			q.emaGap = 1
-		}
-	}
 	q.lastAt = at
-	q.pops++
-	// Re-keying costs O(n): the cooldown of one full wheel's worth of
-	// pops keeps it O(1) amortized, and the wide hysteresis bands
-	// (grow on any shortfall, shrink only at 8x excess, re-width only
-	// at 4x drift) stop a workload sitting on a power-of-two boundary
-	// from thrashing between two geometries.
-	if q.pops&calTuneMask != 0 || q.pops-q.lastRekey < uint64(len(q.slots)) {
-		return
-	}
-	s, n := q.idealGeometry()
-	ds := int(s) - int(q.shift)
-	if ds >= 2 || ds <= -2 || n > len(q.slots) || 8*n <= len(q.slots) {
-		q.rekey(s, n)
+	if q.pops++; q.pops >= q.epochEnd {
+		q.retune()
 	}
 }
 
-// idealGeometry derives the wheel geometry from the observed signals.
-// The slot width targets one to two average pop-to-pop gaps, so a
-// slot holds a couple of events and draining stays O(1). The slot
-// count then stretches the coverage window to about four average
-// scheduling deltas — so the typical push lands on the wheel directly
-// instead of detouring through the overflow heap and paying two
-// O(log n) sifts to migrate back — while also keeping the resident
-// population's load factor at or below two events per slot. When even
-// the maximum ring cannot cover the deltas at the gap-ideal width,
-// the width gives way: wider slots mean slightly larger per-slot
-// sorts but keep pushes O(1).
-func (q *calQueue) idealGeometry() (shift uint, nslots int) {
-	gap := q.emaGap
-	if gap < 1 {
-		gap = 1
+// retune derives the geometry from an epoch of pops and starts the
+// next epoch. The width is the mean pop gap rounded up to a power of
+// two; the coverage is the 31/32 quantile of push deltas, rounded up
+// to a power of two by the histogram. The ring doubles until it spans
+// that coverage (and holds the resident population at two events per
+// slot); once at its maximum, the width gives way instead.
+func (q *calQueue) retune() {
+	gap := (q.lastAt - q.epochAt) / Time(q.pops-q.epochPops)
+	s := min(uint(bits.Len64(uint64(gap))), calMaxShift)
+	var pushes, seen uint64
+	for _, c := range q.hist {
+		pushes += c
 	}
-	s := uint(bits.Len64(uint64(gap)))
-	if s < calMinShift {
-		s = calMinShift
-	}
-	if s > calMaxShift {
-		s = calMaxShift
-	}
-	cover := 4 * q.emaDelta
-	need := (cover + (Time(1) << s) - 1) >> s
-	if pop := Time(q.len()) / 2; pop > need {
-		need = pop
-	}
-	n := calMinSlots
-	if need > calMinSlots {
-		n = 1 << bits.Len64(uint64(need-1))
-		if n > calMaxSlots {
-			n = calMaxSlots
-			for s < calMaxShift && Time(n)<<s < cover {
-				s++
-			}
+	b := 0
+	for ; b < 62; b++ {
+		if seen += q.hist[b]; 32*seen >= 31*pushes {
+			break
 		}
 	}
-	return s, n
+	cover := Time(1) << b
+	starved := 16*(q.overflows-q.epochOver) > pushes && Time(len(q.slots))<<q.shift < cover
+
+	n, need := len(q.slots), max((cover+(Time(1)<<s)-1)>>s, Time(q.len()/2))
+	for n < calMaxSlots && Time(n) < need {
+		n *= 2
+	}
+	for s < calMaxShift && Time(n)<<s < cover {
+		s++
+	}
+	if starved || n > len(q.slots) || s >= q.shift+2 || s+2 <= q.shift {
+		q.rekey(s, n)
+	}
+	q.epochPops, q.epochAt, q.epochOver = q.pops, q.lastAt, q.overflows
+	q.epochEnd = q.pops + uint64(max(calEpoch, len(q.slots)))
+	clear(q.hist[:])
 }
 
 // rekey rebuilds the wheel with a new slot width and/or slot count,
 // redistributing every pending event. Order is unaffected: events
 // carry their (at, seq) keys, and slots re-sort on cursor entry.
 func (q *calQueue) rekey(shift uint, nslots int) {
-	q.lastRekey = q.pops
+	q.rekeys++
 	q.scratch = q.scratch[:0]
 	for i, s := range q.slots {
 		from := 0
@@ -384,38 +379,26 @@ func (q *calQueue) rekey(shift uint, nslots int) {
 	q.overflow = q.overflow[:0]
 
 	q.shift = shift
-	if nslots != len(q.slots) {
+	if nslots > len(q.slots) {
 		ns := make([][]event, nslots)
 		copy(ns, q.slots) // carry over the warmed slot capacities
 		q.slots = ns
 		q.mask = nslots - 1
 	}
 	q.slotN = 0
-	q.head = 0
-	q.cur &= q.mask
 
 	// Anchor at the last popped timestamp: it floors the clock, hence
-	// every pending event and every future push.
-	if len(q.scratch) == 0 {
-		q.anchor(q.lastAt)
-		return
-	}
-	// Sorting first makes every placement an append: cursor-slot
-	// events arrive in order, so insertCur never moves anything.
+	// every pending event and every future push. Sorting first makes
+	// every placement an append: cursor-slot events arrive in order,
+	// so place never moves anything.
 	sortEvents(q.scratch)
 	q.anchor(q.lastAt)
 	for _, ev := range q.scratch {
 		if ev.at >= q.horizon {
 			q.overflow.push(ev)
-			continue
-		}
-		idx := int(ev.at>>q.shift) & q.mask
-		if idx == q.cur {
-			q.insertCur(ev)
 		} else {
-			q.slots[idx] = append(q.slots[idx], ev)
+			q.place(ev)
 		}
-		q.slotN++
 	}
 	clear(q.scratch)
 	q.scratch = q.scratch[:0]

@@ -109,8 +109,8 @@ var deltaRegimes = []struct {
 		return Duration(r.Intn(int(4 * Millisecond))) // mostly overflow
 	}},
 	{"drifting", func(r *rand.Rand) Duration {
-		// Exponentially spread gaps drag the width EMA up and down,
-		// forcing re-keys in both directions.
+		// Exponentially spread gaps swing the measured pop gap up
+		// and down, forcing re-keys in both directions.
 		return Duration(r.Intn(15)+1) << uint(r.Intn(20))
 	}},
 }
@@ -222,5 +222,107 @@ func TestEngineBatchDrainCounts(t *testing.T) {
 	}
 	if e.Now() != 10 {
 		t.Fatalf("clock = %v, want 10", e.Now())
+	}
+}
+
+// settleRegimes reproduce, in miniature, three workloads that keep a
+// wheel tuned from short-term averages re-keying or overflowing. Each
+// step advances the driver by one unit of work; the queue's population
+// is the regime's state.
+var settleRegimes = []struct {
+	name string
+	init func(d *diffDriver, r *rand.Rand)
+	step func(d *diffDriver, r *rand.Rand)
+}{
+	// gups: a closed loop of 576 requests. Three events in four are
+	// ns-scale pipeline hops; the fourth waits out a µs-scale round
+	// trip, so a wheel whose coverage follows the mean delta sends
+	// those through the overflow heap.
+	{"closed-loop-bimodal", func(d *diffDriver, r *rand.Rand) {
+		for i := 0; i < 576; i++ {
+			d.push(bimodalDelta(r))
+		}
+	}, func(d *diffDriver, r *rand.Rand) {
+		d.pop()
+		d.push(bimodalDelta(r))
+	}},
+	// mesh: a population of 128 advanced by RunUntil in 220 ns
+	// windows, the mean pop gap near 4096 ps. One successor in eight
+	// crosses to another shard: it is held until the barrier and then
+	// injected on the window grid, as Mesh.exchange does.
+	{"windowed", func(d *diffDriver, r *rand.Rand) {
+		for i := 0; i < 128; i++ {
+			d.push(windowDelta(r))
+		}
+	}, func(d *diffDriver, r *rand.Rand) {
+		const w = 220 * Nanosecond
+		deadline := (d.now/w + 1) * w
+		var remote []Time
+		for d.popLE(deadline) {
+			if delta := windowDelta(r); r.Intn(8) == 0 {
+				remote = append(remote, (d.now+delta+w-1)/w*w)
+			} else {
+				d.push(delta)
+			}
+		}
+		for _, at := range remote {
+			d.push(at - d.now)
+		}
+	}},
+	// rw: a closed loop of 64 whose delta scale swings 16x every 256
+	// events, dragging the pop gap back and forth across four octaves.
+	{"oscillating", func(d *diffDriver, r *rand.Rand) {
+		for i := 0; i < 64; i++ {
+			d.push(Duration(r.Intn(2000)))
+		}
+	}, func(d *diffDriver, r *rand.Rand) {
+		scale := 1 + 15*int(d.seq>>8&1)
+		d.pop()
+		d.push(Duration(r.Intn(2000 * scale)))
+	}},
+}
+
+func bimodalDelta(r *rand.Rand) Duration {
+	if r.Intn(4) == 0 {
+		return 2*Microsecond + Duration(r.Intn(int(Microsecond)))
+	}
+	return Duration(r.Intn(4000))
+}
+
+func windowDelta(r *rand.Rand) Duration {
+	if r.Intn(8) == 0 {
+		return 2500*Nanosecond + Duration(r.Intn(int(Microsecond)))
+	}
+	return 50*Nanosecond + Duration(r.Intn(300_000))
+}
+
+// TestCalendarSettles pins that the wheel's tuning settles: after a
+// warm-up the geometry re-keys at most twice, and no more than 1/16 of
+// the pushes detour through the overflow heap — while the pop order
+// stays identical to the reference heap throughout.
+func TestCalendarSettles(t *testing.T) {
+	for _, reg := range settleRegimes {
+		t.Run(reg.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(1))
+			d := &diffDriver{t: t}
+			reg.init(d, r)
+			for d.q.pops < 20_000 {
+				reg.step(d, r)
+			}
+			pushes, over, rekeys := d.q.pushes, d.q.overflows, d.q.rekeys
+			for d.q.pops < 200_000 {
+				reg.step(d, r)
+			}
+			pushes, over, rekeys = d.q.pushes-pushes, d.q.overflows-over, d.q.rekeys-rekeys
+			t.Logf("%d pushes, %d overflow, %d re-keys; settled at %d slots of %d ps",
+				pushes, over, rekeys, len(d.q.slots), d.q.width())
+			if rekeys > 2 {
+				t.Errorf("%d re-keys after warm-up, want <= 2", rekeys)
+			}
+			if 16*over > pushes {
+				t.Errorf("%d of %d pushes overflowed, want <= 1/16", over, pushes)
+			}
+			d.drain()
+		})
 	}
 }

@@ -72,6 +72,26 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Pending reports the number of scheduled-but-unexecuted events.
 func (e *Engine) Pending() int { return e.q.len() }
 
+// QueueStats is a snapshot of the pending-event queue's self-telemetry:
+// how events were scheduled and the calendar wheel's current geometry.
+type QueueStats struct {
+	Pushes    uint64   // events scheduled
+	Overflow  uint64   // pushes that detoured through the far-future heap
+	Rekeys    uint64   // wheel geometry changes
+	SlotWidth Duration // width of one wheel slot (0 before the wheel is built)
+	Slots     int      // wheel slot count (0 before the wheel is built)
+}
+
+// QueueStats reports the queue's counters and geometry. It is
+// read-only: calling it does not affect the simulation.
+func (e *Engine) QueueStats() QueueStats {
+	st := QueueStats{Pushes: e.q.pushes, Overflow: e.q.overflows, Rekeys: e.q.rekeys, Slots: len(e.q.slots)}
+	if st.Slots > 0 {
+		st.SlotWidth = e.q.width()
+	}
+	return st
+}
+
 // Schedule runs fn after delay simulated time. A negative delay is
 // treated as zero (run at the current timestamp, after events already
 // scheduled there).

@@ -105,6 +105,62 @@ func BenchmarkEngineMixedTimescale(b *testing.B) {
 	}
 }
 
+// windowedPop is the population of BenchmarkEngineWindowedBimodal: a
+// PDES shard's event stream in miniature. Every firing reschedules the
+// handler a bimodal delta out (mostly sub-µs hops, one in eight a µs-scale
+// round trip); one firing in eight is instead parked for the window
+// barrier and injected there on the window grid, as a cross-shard send
+// is by Mesh.exchange.
+type windowedPop struct {
+	rng    *RNG
+	parked []Time
+}
+
+func (p *windowedPop) Fire(e *Engine) {
+	d := 50*Nanosecond + Duration(p.rng.Uint64n(300_000))
+	if p.rng.Uint64n(8) == 0 {
+		d = 2500*Nanosecond + Duration(p.rng.Uint64n(uint64(Microsecond)))
+	}
+	if p.rng.Uint64n(8) == 0 {
+		p.parked = append(p.parked, e.Now()+d)
+		return
+	}
+	e.ScheduleHandler(d, p)
+}
+
+// window runs the engine to the next 220 ns barrier, then injects the
+// parked events.
+func (p *windowedPop) window(e *Engine) {
+	const w = 220 * Nanosecond
+	e.RunUntil((e.Now()/w + 1) * w)
+	for _, at := range p.parked {
+		e.AtHandler((at+w-1)/w*w, p)
+	}
+	p.parked = p.parked[:0]
+}
+
+// BenchmarkEngineWindowedBimodal advances a population of 128 events
+// in 220 ns RunUntil windows with a mean pop gap near 4 ns, the
+// pattern of a chain-16 mesh shard. One op is one window. Once the
+// queue has settled, a window must not allocate: CI gates it at
+// 0 allocs/op, which a wheel that keeps re-keying (and losing its
+// warmed slot capacity) fails.
+func BenchmarkEngineWindowedBimodal(b *testing.B) {
+	e := NewEngine()
+	p := &windowedPop{rng: NewRNG(1)}
+	for i := 0; i < 128; i++ {
+		e.ScheduleHandler(Duration(i)*Nanosecond, p)
+	}
+	for i := 0; i < 4000; i++ {
+		p.window(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.window(e)
+	}
+}
+
 func BenchmarkEngineScheduleClosure(b *testing.B) {
 	e := NewEngine()
 	var n uint64
@@ -200,8 +256,8 @@ func TestScheduleHandlerZeroAlloc(t *testing.T) {
 		h := &benchHandler{}
 		// Hold 64 events pending so every op exercises the wheel, and
 		// warm until the self-tuned geometry and the per-slot slice
-		// capacities settle (the queue re-keys from its gap/delta EMAs
-		// during the first warm cycles).
+		// capacities settle (the queue re-keys at the end of its first
+		// 1024-pop tuning epoch).
 		for i := 0; i < 64; i++ {
 			e.ScheduleHandler(Duration(i), h)
 		}

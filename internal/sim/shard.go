@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -154,15 +155,14 @@ func (m *Mesh) exchange(scratch []crossEvent) []crossEvent {
 		if len(batch) == 0 {
 			continue
 		}
-		sort.Slice(batch, func(i, j int) bool {
-			a, b := batch[i], batch[j]
-			if a.at != b.at {
-				return a.at < b.at
+		slices.SortFunc(batch, func(a, b crossEvent) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
 			}
-			if a.src != b.src {
-				return a.src < b.src
+			if c := cmp.Compare(a.src, b.src); c != 0 {
+				return c
 			}
-			return a.seq < b.seq
+			return cmp.Compare(a.seq, b.seq)
 		})
 		for _, ev := range batch {
 			dst.eng.AtHandler(ev.at, ev.h)
