@@ -47,7 +47,7 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = NumCPU)")
 	shards := flag.Int("shards", 1, "worker goroutines per sharded scenario's PDES mesh (results identical at every value)")
 	ext := flag.Bool("ext", false, "include the extension experiments (ablations, projections)")
-	thermal := flag.Bool("thermal", false, "close the thermal/power feedback loop on scenario-backed experiments (scn-*, ext-backends, ext-loadlat)")
+	thermal := flag.Bool("thermal", false, "close the thermal/power feedback loop on scenario-backed experiments (scn-*, ext-backends, ext-loadlat; sharded scn-* and the sharded overview ignore it)")
 	cooling := flag.String("cooling", "", "Table III cooling environment for -thermal: Cfg1..Cfg4 (default Cfg2)")
 	faults := flag.String("faults", "", "overlay a fault plan on scenario-backed experiments (see internal/fault; the ext-fault-* family always injects)")
 	faultRetries := flag.Int("fault-retries", 0, "retry errored scenario requests up to N times with exponential backoff")

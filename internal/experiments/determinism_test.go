@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
+	"hmcsim/internal/scenario"
 	"hmcsim/internal/sim"
 )
 
@@ -79,265 +81,107 @@ func TestSeedChangesOutput(t *testing.T) {
 	}
 }
 
-// TestScenarioWorkerDeterminism: the scenario overview fans every
-// builtin spec across the pool; its rendered output must be
-// byte-identical between Workers=1 and Workers=8, and a repeated run
-// must replay exactly (seeded zipfian/hotspot generators included).
-func TestScenarioWorkerDeterminism(t *testing.T) {
-	serial, err := runScenarioOverview(fastOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := runScenarioOverview(fastOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Table() != parallel.Table() {
-		t.Error("scenario overview text differs between Workers=1 and Workers=8")
-	}
-	if serial.CSV() != parallel.CSV() {
-		t.Error("scenario overview CSV differs between Workers=1 and Workers=8")
-	}
-	replay, err := runScenarioOverview(fastOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parallel.Table() != replay.Table() {
-		t.Error("scenario overview not reproducible across runs at Workers=8")
-	}
+// determinismFamilies selects every scenario-backed family's registry
+// entries. Each family fans its cells across the pool (the sharded
+// library: its shards across the mesh), and every entry must render
+// byte-identically between Workers=1 and Workers=8 (Shards=1 and
+// Shards=8) and replay exactly across runs, or the recorded goldens
+// would be racy.
+var determinismFamilies = map[string]struct {
+	shards bool // vary Options.Shards instead of Options.Workers
+	match  func(id string) bool
+}{
+	// The overview fans every builtin spec (seeded zipfian/hotspot
+	// generators included).
+	"scenario": {match: isID("scenarios")},
+	// Open-loop injectors on all three backends.
+	"loadlat": {match: hasPrefix("ext-loadlat-")},
+	// The partition is part of the spec; Options.Shards only
+	// schedules it.
+	"shard": {shards: true, match: func(id string) bool {
+		return id == "sharded" || isSpec(scenario.Sharded(), id)
+	}},
+	// (cooling x rate) closed loops of throttle decorator, RC runtime
+	// and drivers, plus the placement study.
+	"thermal": {match: hasPrefix("ext-thermal-")},
+	// (shape x backend) cells, chain cells included.
+	"backends": {match: isID("ext-backends")},
+	// MMPP bursts, diurnal phase curves and tenant churn derive every
+	// dwell and arrival instant from (seed, tenant index).
+	"traffic": {match: func(id string) bool { return isSpec(scenario.Traffic(), id) }},
+	// Prefix-horizon slices differenced into per-phase attainment.
+	"slo": {match: hasPrefix("ext-slo-")},
+	// Ladder rungs, outage-timeline horizons and the topology pair;
+	// injector randomness is keyed by (seed, zone).
+	"fault": {match: hasPrefix("ext-fault-")},
 }
 
-// TestLoadLatWorkerDeterminism: every load-latency sweep fans its
-// rate ladder across the pool (open-loop injectors on all three
-// backends); the rendered curve must be byte-identical between
-// Workers=1 and Workers=8 and across repeated runs, or the recorded
-// goldens would be racy.
-func TestLoadLatWorkerDeterminism(t *testing.T) {
-	for _, e := range LoadLatency() {
-		e := e
+func isID(want string) func(string) bool { return func(id string) bool { return id == want } }
+
+func hasPrefix(p string) func(string) bool {
+	return func(id string) bool { return strings.HasPrefix(id, p) }
+}
+
+func isSpec(specs []scenario.Spec, id string) bool {
+	for _, s := range specs {
+		if id == "scn-"+s.Name {
+			return true
+		}
+	}
+	return false
+}
+
+// checkFamilyDeterminism runs each of the family's entries serially,
+// in parallel, and in parallel again, comparing the rendered bytes.
+func checkFamilyDeterminism(t *testing.T, family string) {
+	fam := determinismFamilies[family]
+	serialOpts, parallelOpts, knob := fastOpts(1), fastOpts(8), "Workers"
+	if fam.shards {
+		parallelOpts, knob = fastOpts(1), "Shards"
+		parallelOpts.Shards = 8
+	}
+	ran := 0
+	for _, e := range AllWithExtensions() {
+		if !fam.match(e.ID) {
+			continue
+		}
+		ran++
 		t.Run(e.ID, func(t *testing.T) {
-			serial, err := e.Run(fastOpts(1))
+			serial, err := e.Run(serialOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := e.Run(fastOpts(8))
+			parallel, err := e.Run(parallelOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if serial.Table() != parallel.Table() {
-				t.Errorf("%s text differs between Workers=1 and Workers=8", e.ID)
+				t.Errorf("%s text differs between %s=1 and %s=8", e.ID, knob, knob)
 			}
 			if serial.CSV() != parallel.CSV() {
-				t.Errorf("%s CSV differs between Workers=1 and Workers=8", e.ID)
+				t.Errorf("%s CSV differs between %s=1 and %s=8", e.ID, knob, knob)
 			}
-			replay, err := e.Run(fastOpts(8))
+			replay, err := e.Run(parallelOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if parallel.Table() != replay.Table() {
-				t.Errorf("%s not reproducible across runs at Workers=8", e.ID)
+				t.Errorf("%s not reproducible across runs at %s=8", e.ID, knob)
 			}
 		})
 	}
-}
-
-// TestShardWorkerDeterminism: every partitioned spec's experiment must
-// render byte-identically whether its PDES mesh runs on one goroutine
-// or as many as there are shards — the partition is part of the spec;
-// Options.Shards only schedules it.
-func TestShardWorkerDeterminism(t *testing.T) {
-	for _, e := range ShardedScenarios() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			serial, err := e.Run(fastOpts(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := fastOpts(1)
-			o.Shards = 8
-			sharded, err := e.Run(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.Table() != sharded.Table() {
-				t.Errorf("%s text differs between Shards=1 and Shards=8", e.ID)
-			}
-			if serial.CSV() != sharded.CSV() {
-				t.Errorf("%s CSV differs between Shards=1 and Shards=8", e.ID)
-			}
-			replay, err := e.Run(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sharded.Table() != replay.Table() {
-				t.Errorf("%s not reproducible across runs at Shards=8", e.ID)
-			}
-		})
+	if ran == 0 {
+		t.Fatalf("family %q selects no registry entries", family)
 	}
 }
 
-// TestThermalWorkerDeterminism: the thermal feedback family fans its
-// (cooling x rate) cells — each a closed loop of throttle decorator,
-// RC runtime and drivers — across the pool; sweep, placement and the
-// controller telemetry inside them must render byte-identically
-// between Workers=1 and Workers=8 and across repeated runs.
-func TestThermalWorkerDeterminism(t *testing.T) {
-	for _, e := range Thermal() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			serial, err := e.Run(fastOpts(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallel, err := e.Run(fastOpts(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.Table() != parallel.Table() {
-				t.Errorf("%s text differs between Workers=1 and Workers=8", e.ID)
-			}
-			if serial.CSV() != parallel.CSV() {
-				t.Errorf("%s CSV differs between Workers=1 and Workers=8", e.ID)
-			}
-			replay, err := e.Run(fastOpts(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if parallel.Table() != replay.Table() {
-				t.Errorf("%s not reproducible across runs at Workers=8", e.ID)
-			}
-		})
-	}
-}
-
-// TestBackendMatrixWorkerDeterminism: the cross-backend matrix fans
-// (shape x backend) cells — including chain cells whose cubes fail
-// and reroute in other tests — across the pool; its output must be
-// byte-identical between Workers=1 and Workers=8 and across repeated
-// runs.
-func TestBackendMatrixWorkerDeterminism(t *testing.T) {
-	serial, err := runReport(ExtBackends)(fastOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := runReport(ExtBackends)(fastOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Table() != parallel.Table() {
-		t.Error("backend matrix text differs between Workers=1 and Workers=8")
-	}
-	if serial.CSV() != parallel.CSV() {
-		t.Error("backend matrix CSV differs between Workers=1 and Workers=8")
-	}
-	replay, err := runReport(ExtBackends)(fastOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parallel.Table() != replay.Table() {
-		t.Error("backend matrix not reproducible across runs at Workers=8")
-	}
-}
-
-// TestTrafficWorkerDeterminism: the traffic-model scenarios (MMPP
-// bursts, diurnal phase curves, tenant churn) derive every dwell and
-// arrival instant from (seed, tenant index); each must render
-// byte-identically between Workers=1 and Workers=8 and replay exactly
-// across runs, or the burst timelines would be racy.
-func TestTrafficWorkerDeterminism(t *testing.T) {
-	for _, e := range TrafficScenarios() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			serial, err := e.Run(fastOpts(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallel, err := e.Run(fastOpts(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.Table() != parallel.Table() {
-				t.Errorf("%s text differs between Workers=1 and Workers=8", e.ID)
-			}
-			if serial.CSV() != parallel.CSV() {
-				t.Errorf("%s CSV differs between Workers=1 and Workers=8", e.ID)
-			}
-			replay, err := e.Run(fastOpts(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if parallel.Table() != replay.Table() {
-				t.Errorf("%s not reproducible across runs at Workers=8", e.ID)
-			}
-		})
-	}
-}
-
-// TestSLOWorkerDeterminism: the SLO family fans its prefix-horizon
-// slices across the pool and differences cumulative counters between
-// them; the per-phase grid and class summary must render
-// byte-identically between Workers=1 and Workers=8 and across
-// repeated runs on every backend.
-func TestSLOWorkerDeterminism(t *testing.T) {
-	for _, e := range SLO() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			serial, err := e.Run(fastOpts(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallel, err := e.Run(fastOpts(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.Table() != parallel.Table() {
-				t.Errorf("%s text differs between Workers=1 and Workers=8", e.ID)
-			}
-			if serial.CSV() != parallel.CSV() {
-				t.Errorf("%s CSV differs between Workers=1 and Workers=8", e.ID)
-			}
-			replay, err := e.Run(fastOpts(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if parallel.Table() != replay.Table() {
-				t.Errorf("%s not reproducible across runs at Workers=8", e.ID)
-			}
-		})
-	}
-}
-
-// TestFaultWorkerDeterminism: the fault family fans its ladder rungs,
-// timeline horizons and topology pair across the pool; injector
-// randomness is keyed by (seed, zone), never scheduling order, so
-// every grid — including the prefix-horizon outage slices — must
-// render byte-identically between Workers=1 and Workers=8 and across
-// repeated runs.
-func TestFaultWorkerDeterminism(t *testing.T) {
-	for _, e := range Faults() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			serial, err := e.Run(fastOpts(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallel, err := e.Run(fastOpts(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.Table() != parallel.Table() {
-				t.Errorf("%s text differs between Workers=1 and Workers=8", e.ID)
-			}
-			if serial.CSV() != parallel.CSV() {
-				t.Errorf("%s CSV differs between Workers=1 and Workers=8", e.ID)
-			}
-			replay, err := e.Run(fastOpts(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if parallel.Table() != replay.Table() {
-				t.Errorf("%s not reproducible across runs at Workers=8", e.ID)
-			}
-		})
-	}
-}
+// One entry point per family keeps each family selectable with -run
+// (CI races the thermal, fault and shard families on their own).
+func TestScenarioWorkerDeterminism(t *testing.T)      { checkFamilyDeterminism(t, "scenario") }
+func TestLoadLatWorkerDeterminism(t *testing.T)       { checkFamilyDeterminism(t, "loadlat") }
+func TestShardWorkerDeterminism(t *testing.T)         { checkFamilyDeterminism(t, "shard") }
+func TestThermalWorkerDeterminism(t *testing.T)       { checkFamilyDeterminism(t, "thermal") }
+func TestBackendMatrixWorkerDeterminism(t *testing.T) { checkFamilyDeterminism(t, "backends") }
+func TestTrafficWorkerDeterminism(t *testing.T)       { checkFamilyDeterminism(t, "traffic") }
+func TestSLOWorkerDeterminism(t *testing.T)           { checkFamilyDeterminism(t, "slo") }
+func TestFaultWorkerDeterminism(t *testing.T)         { checkFamilyDeterminism(t, "fault") }

@@ -1,17 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"hmcsim/internal/runner"
 	"hmcsim/internal/scenario"
 	"hmcsim/internal/sim"
 )
 
-// Faults exposes the fault-injection and resilience family: for each
-// backend, a fault-intensity ladder (transient link-error rate crossed
-// with stochastic zone outages) measured through retrying, deadlined
+// The fault-injection and resilience family: for each backend, a
+// fault-intensity ladder (transient link-error rate crossed with
+// stochastic zone outages) measured through retrying, deadlined
 // clients — goodput, degradation accounting, availability and the
 // read tails the retries inflate. The chain variant adds an
 // outage-window timeline (a scripted mid-run cube failure and repair,
@@ -19,28 +17,6 @@ import (
 // and a chain-vs-ring comparison of the same outage, quantifying the
 // ring's package-level reroute claim from Section II-B at the
 // scenario level rather than the single-access probe of ext-chain.
-func Faults() []Experiment {
-	out := make([]Experiment, 0, len(faultSweepConfigs))
-	for _, c := range faultSweepConfigs {
-		c := c
-		if c.backend == "chain" {
-			out = append(out, Experiment{
-				ID:    "ext-fault-chain",
-				Title: "Fault injection: intensity ladder, outage timeline and ring reroute (chain)",
-				Run:   runReport(ExtFaultChain),
-			})
-			continue
-		}
-		out = append(out, Experiment{
-			ID:    "ext-fault-" + c.backend,
-			Title: fmt.Sprintf("Fault injection: availability and tails vs error rate (%s)", c.label),
-			Run: runReport(func(o Options) (*ExtFaultSweepData, error) {
-				return ExtFaultSweep(o, c)
-			}),
-		})
-	}
-	return out
-}
 
 // faultSweepConfig pins one backend's ladder shape.
 type faultSweepConfig struct {
@@ -51,8 +27,11 @@ type faultSweepConfig struct {
 var faultSweepConfigs = []faultSweepConfig{
 	{"hmc", "1 cube, 4 ports"},
 	{"ddr4", "2 channels, 4 ports"},
-	{"chain", "4 cubes, 4 ports"},
 }
+
+// faultChainConfig is the chain ladder, the first grid of
+// ext-fault-chain.
+var faultChainConfig = faultSweepConfig{"chain", "4 cubes, 4 ports"}
 
 // faultRungs is the fault-intensity ladder every backend climbs: a
 // clean rung (resilience armed, nothing injected), then transient
@@ -69,140 +48,25 @@ var faultRungs = []struct {
 	{"harsh", "rate=0.05,mtbf=100us,mttr=30us"},
 }
 
-// faultResilience is the client policy every cell shares: bounded
-// retries with the backend's default backoff, and a deadline long
-// past the healthy tails so only requests stuck against a downed
-// zone are abandoned.
-func faultResilience(plan string) scenario.Faults {
-	return scenario.Faults{
-		Plan:       plan,
-		MaxRetries: 3,
-		Deadline:   20 * sim.Microsecond,
-	}
-}
-
 // faultSpec is the common cell workload: four closed-loop read ports
 // over the whole address space, so errors, retries and outage windows
 // show up directly in the read tails.
-func faultSpec(c faultSweepConfig) scenario.Spec {
-	s := scenario.Spec{
-		Name:        "fl-" + c.backend,
-		Description: "fault sweep cell",
-		Backend:     c.backend,
-		Tenants: []scenario.Tenant{{
-			Name: "app", Ports: 4, Mix: "ro", Size: 128,
-		}},
-	}
-	switch c.backend {
-	case "chain":
-		s.Topology = "chain"
-		s.Cubes = 4
-	case "ddr4":
+func faultSpec(backend string) scenario.Spec {
+	s := familySpec("fl-"+backend, backend, scenario.Tenant{Name: "app", Ports: 4, Mix: "ro", Size: 128})
+	if backend == "ddr4" {
 		s.Channels = 2
 	}
 	return s
 }
 
-// faultOptions arms injection and tail collection on top of the
+// faultCell arms injection and tail collection on top of the
 // experiment's fidelity windows, replacing any caller overlay: the
 // family is always injected, like ext-thermal is always closed-loop.
-func faultOptions(o Options, fl scenario.Faults) scenario.Options {
-	so := scenarioOptions(o)
-	so.Faults = fl
-	so.Tail = true
-	return so
-}
-
-// faultSweepPoint is one measured rung.
-type faultSweepPoint struct {
-	Label     string
-	Plan      string
-	Goodput   float64 // successful MRPS
-	RawGBps   float64
-	Errors    uint64
-	Retries   uint64
-	Abandoned uint64
-	Failed    uint64
-	AvailPct  float64
-	Samples   uint64
-	P50, P99  float64 // read round-trip tails, ns
-	P999      float64
-}
-
-// summarizeFaults folds a faulted run into a sweep point.
-func summarizeFaults(res scenario.Result) faultSweepPoint {
-	tot := res.Total
-	p := faultSweepPoint{
-		Goodput:   tot.GoodputMRPS,
-		RawGBps:   tot.RawGBps,
-		Errors:    tot.Errors,
-		Retries:   tot.Retries,
-		Abandoned: tot.Abandoned,
-		Failed:    tot.Failed,
-		AvailPct:  tot.Availability() * 100,
-	}
-	if h := tot.ReadHistNs; h != nil && h.N() > 0 {
-		p.Samples = h.N()
-		q := h.Percentiles(50, 99, 99.9)
-		p.P50, p.P99, p.P999 = q[0], q[1], q[2]
-	}
-	return p
-}
-
-// ExtFaultSweepData holds one backend's intensity ladder.
-type ExtFaultSweepData struct {
-	Config faultSweepConfig
-	Points []faultSweepPoint
-}
-
-// ExtFaultSweep climbs the fault-intensity ladder on one backend,
-// fanning the rungs across the worker pool. Every rung owns its own
-// engine, injector and drivers; injector randomness is keyed by the
-// run seed, so the grid is deterministic in the worker count.
-func ExtFaultSweep(o Options, c faultSweepConfig) (*ExtFaultSweepData, error) {
-	d := &ExtFaultSweepData{Config: c}
-	cfg := runner.Config{Workers: o.Workers, Progress: o.Progress}
-	pts, err := runner.Map(o.context(), cfg, len(faultRungs), func(_ context.Context, i int) (faultSweepPoint, error) {
-		rung := faultRungs[i]
-		res, err := scenario.Run(faultSpec(c), faultOptions(o, faultResilience(rung.plan)))
-		if err != nil {
-			return faultSweepPoint{}, err
-		}
-		p := summarizeFaults(res)
-		p.Label, p.Plan = rung.label, rung.plan
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.Points = pts
-	return d, nil
-}
-
-// sweepGrid renders the ladder: goodput, the degradation ledger and
-// the read tails per rung.
-func (d *ExtFaultSweepData) sweepGrid() Grid {
-	g := Grid{
-		Title: fmt.Sprintf("Fault-intensity ladder, closed-loop 128 B reads, %s", d.Config.label),
-		Cols: []string{"Rung", "Plan", "Goodput MRPS", "Raw GB/s", "Errors",
-			"Retries", "Abandoned", "Failed", "Avail %", "n", "p50 ns", "p99 ns", "p99.9 ns"},
-	}
-	for _, p := range d.Points {
-		plan := p.Plan
-		if plan == "" {
-			plan = "-"
-		}
-		n, p50, p99, p999 := "-", "-", "-", "-"
-		if p.Samples > 0 {
-			n = fmt.Sprintf("%d", p.Samples)
-			p50, p99, p999 = f0(p.P50), f0(p.P99), f0(p.P999)
-		}
-		g.AddRow(p.Label, plan, f1(p.Goodput), f2(p.RawGBps),
-			fmt.Sprintf("%d", p.Errors), fmt.Sprintf("%d", p.Retries),
-			fmt.Sprintf("%d", p.Abandoned), fmt.Sprintf("%d", p.Failed),
-			f2(p.AvailPct), n, p50, p99, p999)
-	}
-	return g
+func faultCell(o Options, spec scenario.Spec, fl scenario.Faults) cell {
+	c := newCell(o, spec)
+	c.opts.Faults = fl
+	c.opts.Tail = true
+	return c
 }
 
 var faultSweepNotes = []string{
@@ -211,46 +75,40 @@ var faultSweepNotes = []string{
 	"zone outages draw exponential MTBF/MTTR per zone from the run seed; tails from log-bucketed read round-trip histograms, measured window only",
 }
 
-// Report renders the single-grid sweep (hmc and ddr4 variants).
-func (d *ExtFaultSweepData) Report() Report {
-	return Report{
-		ID:    "ext-fault-" + d.Config.backend,
-		Title: fmt.Sprintf("Fault Injection Sweep (%s)", d.Config.backend),
-		Grids: []Grid{d.sweepGrid()},
-		Notes: faultSweepNotes,
+// faultFamily is one backend's intensity ladder: every rung shares a
+// client policy of bounded retries with the backend's default backoff
+// and a deadline long past the healthy tails, so only requests stuck
+// against a downed zone are abandoned. Each row carries the goodput,
+// the degradation ledger and the read tails.
+func faultFamily(c faultSweepConfig) rowFamily {
+	return rowFamily{
+		id:    "ext-fault-" + c.backend,
+		name:  fmt.Sprintf("Fault injection: availability and tails vs error rate (%s)", c.label),
+		title: fmt.Sprintf("Fault Injection Sweep (%s)", c.backend),
+		grid:  fmt.Sprintf("Fault-intensity ladder, closed-loop 128 B reads, %s", c.label),
+		cols: []string{"Rung", "Plan", "Goodput MRPS", "Raw GB/s", "Errors",
+			"Retries", "Abandoned", "Failed", "Avail %", "n", "p50 ns", "p99 ns", "p99.9 ns"},
+		notes: faultSweepNotes,
+		cells: func(o Options) []cell {
+			var cells []cell
+			for _, rung := range faultRungs {
+				fl := scenario.Faults{Plan: rung.plan, MaxRetries: 3, Deadline: 20 * sim.Microsecond}
+				fc := faultCell(o, faultSpec(c.backend), fl)
+				fc.label = rung.label
+				cells = append(cells, fc)
+			}
+			return cells
+		},
+		row: func(c cell, res scenario.Result) []string {
+			plan, tot := c.opts.Faults.Plan, res.Total
+			if plan == "" {
+				plan = "-"
+			}
+			return append([]string{c.label, plan, f1(tot.GoodputMRPS), f2(tot.RawGBps),
+				fmt.Sprint(tot.Errors), fmt.Sprint(tot.Retries), fmt.Sprint(tot.Abandoned),
+				fmt.Sprint(tot.Failed), f2(tot.Availability() * 100)}, hist(tot.ReadHistNs, 50, 99, 99.9)...)
+		},
 	}
-}
-
-// faultSlice is one time slice of the outage timeline.
-type faultSlice struct {
-	Index      int
-	FromUs     float64
-	ToUs       float64
-	Goodput    float64 // successful MRPS within the slice
-	Reads      uint64
-	Errors     uint64
-	Retries    uint64
-	Failed     uint64
-	During     bool // slice overlaps the scripted outage window
-	cumReads   uint64
-	cumErrors  uint64
-	cumRetries uint64
-	cumFailed  uint64
-}
-
-// faultTopoResult is one topology's outcome under the scripted outage.
-type faultTopoResult struct {
-	Topology string
-	Point    faultSweepPoint
-	Reads    uint64
-}
-
-// ExtFaultChainData holds the chain family: the intensity ladder, the
-// sliced outage timeline and the chain-vs-ring reroute comparison.
-type ExtFaultChainData struct {
-	Sweep  *ExtFaultSweepData
-	Slices []faultSlice
-	Topos  []faultTopoResult
 }
 
 const outageSlices = 8
@@ -265,109 +123,75 @@ func outagePlan(o Options) string {
 	return fmt.Sprintf("rate=0.005,fail=2@%dps,repair=2@%dps", fail, repair)
 }
 
-// ExtFaultChain runs the chain variant: the ladder, then the outage
-// timeline as prefix horizons (the engine is deterministic, so a run
-// measured for k/8 of the window is byte-for-byte a prefix of the
-// full run; differencing cumulative counters between consecutive
-// horizons yields exact per-slice traffic without any mid-run
-// sampling hooks), then the same scripted outage on a ring.
-func ExtFaultChain(o Options) (*ExtFaultChainData, error) {
-	cfg := faultSweepConfigs[2] // chain
-	sweep, err := ExtFaultSweep(o, cfg)
+// runFaultChain runs the chain variant: the ladder, then the outage
+// timeline as prefix horizons of one run, then the same scripted
+// outage on a ring.
+func runFaultChain(o Options) (Report, error) {
+	ladder, err := faultFamily(faultChainConfig).table(o)
 	if err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	d := &ExtFaultChainData{Sweep: sweep}
 
 	// A visible backoff makes the outage cost slot time: a request
 	// stuck against the dead half holds its window slot through three
 	// backed-off retries (~11 us) instead of failing at wire speed, so
 	// the goodput dip in the timeline reflects real head-of-line loss.
-	plan := outagePlan(o)
 	fl := scenario.Faults{
-		Plan:       plan,
+		Plan:       outagePlan(o),
 		MaxRetries: 3,
 		Backoff:    sim.Microsecond,
 		Deadline:   20 * sim.Microsecond,
 	}
-	cums, err := parallelMap(o, outageSlices, func(i int) faultSlice {
-		po := o
-		po.Measure = o.Measure * sim.Duration(i+1) / outageSlices
-		res := scenario.MustRun(faultSpec(cfg), faultOptions(po, fl))
-		tot := res.Total
-		return faultSlice{
-			Index:      i + 1,
-			cumReads:   tot.Reads,
-			cumErrors:  tot.Errors,
-			cumRetries: tot.Retries,
-			cumFailed:  tot.Failed,
-		}
-	})
+	runs, err := prefixRuns(o, faultCell(o, faultSpec("chain"), fl), outageSlices)
 	if err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	sliceSecs := (o.Measure / outageSlices).Seconds()
-	var prev faultSlice
-	for i := range cums {
-		s := cums[i]
-		s.FromUs = o.Measure.Microseconds() * float64(i) / outageSlices
-		s.ToUs = o.Measure.Microseconds() * float64(i+1) / outageSlices
-		s.Reads = s.cumReads - prev.cumReads
-		s.Errors = s.cumErrors - prev.cumErrors
-		s.Retries = s.cumRetries - prev.cumRetries
-		s.Failed = s.cumFailed - prev.cumFailed
-		s.Goodput = float64(s.Reads) / sliceSecs / 1e6
-		s.During = i+1 > 3*outageSlices/8 && i < 6*outageSlices/8
-		prev = cums[i]
-		d.Slices = append(d.Slices, s)
-	}
-
-	topos, err := parallelMap(o, 2, func(i int) faultTopoResult {
-		topo := []string{"chain", "ring"}[i]
-		spec := faultSpec(cfg)
-		spec.Name = "fl-" + topo + "-outage"
-		spec.Topology = topo
-		res := scenario.MustRun(spec, faultOptions(o, fl))
-		return faultTopoResult{
-			Topology: topo,
-			Point:    summarizeFaults(res),
-			Reads:    res.Total.Reads,
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.Topos = topos
-	return d, nil
-}
-
-// Report renders the three chain grids.
-func (d *ExtFaultChainData) Report() Report {
 	tl := Grid{
 		Title: "Outage timeline: cube 2 fails 3/8 in, repaired at 6/8 (4-cube chain)",
 		Cols: []string{"Slice", "Window us", "Goodput MRPS", "Reads", "Errors",
 			"Retries", "Failed", "Outage"},
 	}
-	for _, s := range d.Slices {
+	sliceSecs := (o.Measure / outageSlices).Seconds()
+	var prev scenario.TenantStats
+	for i, r := range runs {
+		cur := r.Total
+		reads := cur.Reads - prev.Reads
 		mark := ""
-		if s.During {
+		if i+1 > 3*outageSlices/8 && i < 6*outageSlices/8 {
 			mark = "down"
 		}
-		tl.AddRow(fmt.Sprintf("%d", s.Index),
-			fmt.Sprintf("%.1f-%.1f", s.FromUs, s.ToUs),
-			f1(s.Goodput), fmt.Sprintf("%d", s.Reads), fmt.Sprintf("%d", s.Errors),
-			fmt.Sprintf("%d", s.Retries), fmt.Sprintf("%d", s.Failed), mark)
+		tl.AddRow(fmt.Sprint(i+1),
+			fmt.Sprintf("%.1f-%.1f", o.Measure.Microseconds()*float64(i)/outageSlices,
+				o.Measure.Microseconds()*float64(i+1)/outageSlices),
+			f1(float64(reads)/sliceSecs/1e6), fmt.Sprint(reads), fmt.Sprint(cur.Errors-prev.Errors),
+			fmt.Sprint(cur.Retries-prev.Retries), fmt.Sprint(cur.Failed-prev.Failed), mark)
+		prev = cur
+	}
+
+	var topos []cell
+	for _, topo := range []string{"chain", "ring"} {
+		spec := faultSpec("chain")
+		spec.Name = "fl-" + topo + "-outage"
+		spec.Topology = topo
+		topos = append(topos, faultCell(o, spec, fl))
+	}
+	res, err := runCells(o, topos)
+	if err != nil {
+		return Report{}, err
 	}
 	tp := Grid{
 		Title: "Same outage, chain vs ring wiring",
 		Cols: []string{"Topology", "Goodput MRPS", "Reads", "Errors", "Failed",
 			"Avail %", "p99 ns"},
 	}
-	for _, t := range d.Topos {
-		p := t.Point
-		tp.AddRow(t.Topology, f1(p.Goodput), fmt.Sprintf("%d", t.Reads),
-			fmt.Sprintf("%d", p.Errors), fmt.Sprintf("%d", p.Failed),
-			f2(p.AvailPct), f0(p.P99))
+	for i, r := range res {
+		tot := r.Total
+		p99 := 0.0
+		if tot.ReadHistNs != nil {
+			p99 = tot.ReadHistNs.Percentile(99)
+		}
+		tp.AddRow(topos[i].spec.Topology, f1(tot.GoodputMRPS), fmt.Sprint(tot.Reads),
+			fmt.Sprint(tot.Errors), fmt.Sprint(tot.Failed), f2(tot.Availability()*100), f0(p99))
 	}
 	notes := append([]string{
 		"timeline slices difference cumulative counters across prefix horizons of one deterministic run: goodput dips while cube 2 is down and recovers after repair",
@@ -376,7 +200,7 @@ func (d *ExtFaultChainData) Report() Report {
 	return Report{
 		ID:    "ext-fault-chain",
 		Title: "Fault Injection Sweep, Outage Timeline and Ring Reroute (chain)",
-		Grids: []Grid{d.Sweep.sweepGrid(), tl, tp},
+		Grids: []Grid{ladder, tl, tp},
 		Notes: notes,
-	}
+	}, nil
 }

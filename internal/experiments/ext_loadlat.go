@@ -1,40 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"hmcsim/internal/runner"
 	"hmcsim/internal/scenario"
 )
 
-// LoadLatency exposes the load-latency characterization family: for
-// each backend, an open-loop injection-rate sweep from deep
-// unsaturation to past saturation, reporting achieved throughput and
-// the read-latency distribution (mean and tail percentiles) at every
-// offered load. This is the paper's central characterization shape —
-// low-load round trips at the bottom of the ladder, queueing
-// inflation as the offered rate approaches the service rate — applied
-// uniformly to all three memory systems.
-func LoadLatency() []Experiment {
-	out := make([]Experiment, 0, len(loadLatConfigs))
-	for _, c := range loadLatConfigs {
-		c := c
-		out = append(out, Experiment{
-			ID:    "ext-loadlat-" + c.backend,
-			Title: fmt.Sprintf("Load-latency sweep: open-loop rate vs tail latency (%s)", c.label),
-			Run: runReport(func(o Options) (*ExtLoadLatData, error) {
-				return ExtLoadLat(o, c)
-			}),
-		})
-	}
-	return out
-}
-
-// loadLatConfig pins one backend's sweep: the injector width and the
-// per-port rate ladder, chosen so the top rungs exceed the backend's
-// closed-loop service rate (the sweep must cross saturation for the
-// queueing knee to appear).
+// loadLatConfig pins one backend's load-latency sweep: the injector
+// width and the per-port rate ladder, chosen so the top rungs exceed
+// the backend's closed-loop service rate (the sweep must cross
+// saturation for the queueing knee to appear).
 type loadLatConfig struct {
 	backend string
 	label   string
@@ -55,106 +30,46 @@ var loadLatConfigs = []loadLatConfig{
 	{"chain", "4 cubes, 4 ports", 4, []float64{0.25, 0.5, 1, 2, 4, 8, 16, 18, 20}},
 }
 
-// loadLatPoint is one measured cell of the sweep.
-type loadLatPoint struct {
-	PerPortMRPS  float64 // requested arrival rate per port
-	OfferedMRPS  float64 // requested aggregate rate
-	RealizedMRPS float64 // aggregate rate the rounded pacing interval realizes
-	AchievedMRPS float64 // completed requests per second
-	RawGBps      float64
-	Samples      uint64 // measured read completions
-	MeanNs       float64
-	P50, P90     float64
-	P99, P999    float64
-}
-
-// ExtLoadLatData holds one backend's load-latency curve.
-type ExtLoadLatData struct {
-	Config loadLatConfig
-	Points []loadLatPoint
-}
-
-// loadLatSpec compiles one sweep cell: uniform 128 B reads injected
-// open-loop at the given per-port rate on the target backend.
-func loadLatSpec(c loadLatConfig, perPortMRPS float64) scenario.Spec {
-	s := scenario.Spec{
-		Name:        fmt.Sprintf("ll-%s-%g", c.backend, perPortMRPS),
-		Description: "load-latency sweep cell",
-		Backend:     c.backend,
-		Tenants: []scenario.Tenant{{
-			Name:   "probe",
-			Ports:  c.ports,
-			Size:   128,
-			Inject: scenario.Injection{Mode: "open", RateMRPS: perPortMRPS},
-		}},
-	}
-	if c.backend == "chain" {
-		s.Topology = "chain"
-		s.Cubes = 4
-	}
-	return s
-}
-
-// ExtLoadLat runs one backend's sweep, fanning the rate ladder across
-// the worker pool. Every cell owns its own engine and derives all
-// randomness from (seed, tenant index), so the curve is deterministic
-// in the worker count.
-func ExtLoadLat(o Options, c loadLatConfig) (*ExtLoadLatData, error) {
-	d := &ExtLoadLatData{Config: c}
-	cfg := runner.Config{Workers: o.Workers, Progress: o.Progress}
-	pts, err := runner.Map(o.context(), cfg, len(c.perPortMRPS), func(_ context.Context, i int) (loadLatPoint, error) {
-		rate := c.perPortMRPS[i]
-		res, err := scenario.Run(loadLatSpec(c, rate), scenarioOptions(o))
-		if err != nil {
-			return loadLatPoint{}, err
-		}
-		p := loadLatPoint{
-			PerPortMRPS:  rate,
-			OfferedMRPS:  rate * float64(c.ports),
-			RealizedMRPS: res.Total.OfferedMRPS,
-			AchievedMRPS: res.Total.MRPS,
-			RawGBps:      res.Total.RawGBps,
-			MeanNs:       res.Total.ReadLatencyNs.Mean(),
-		}
-		if h := res.Total.ReadHistNs; h != nil && h.N() > 0 {
-			p.Samples = h.N()
-			q := h.Percentiles(50, 90, 99, 99.9)
-			p.P50, p.P90, p.P99, p.P999 = q[0], q[1], q[2], q[3]
-		}
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.Points = pts
-	return d, nil
-}
-
-// Report renders the curve: offered load down the rows, achieved
-// throughput and the latency distribution across.
-func (d *ExtLoadLatData) Report() Report {
-	g := Grid{
-		Title: fmt.Sprintf("Open-loop load vs read latency, uniform 128 B reads, %s", d.Config.label),
-		Cols: []string{"Offered MRPS", "Realized MRPS", "Achieved MRPS", "Raw GB/s",
+// loadLatFamily is one backend's load-latency characterization: an
+// open-loop injection-rate sweep of uniform 128 B reads from deep
+// unsaturation to past saturation, reporting achieved throughput and
+// the read-latency distribution (mean and tail percentiles) at every
+// offered load. This is the paper's central characterization shape —
+// low-load round trips at the bottom of the ladder, queueing
+// inflation as the offered rate approaches the service rate — applied
+// uniformly to all three memory systems.
+func loadLatFamily(c loadLatConfig) rowFamily {
+	return rowFamily{
+		id:    "ext-loadlat-" + c.backend,
+		name:  fmt.Sprintf("Load-latency sweep: open-loop rate vs tail latency (%s)", c.label),
+		title: fmt.Sprintf("Load-Latency Characterization (%s)", c.backend),
+		grid:  fmt.Sprintf("Open-loop load vs read latency, uniform 128 B reads, %s", c.label),
+		cols: []string{"Offered MRPS", "Realized MRPS", "Achieved MRPS", "Raw GB/s",
 			"n", "Mean ns", "p50 ns", "p90 ns", "p99 ns", "p99.9 ns"},
-	}
-	for _, p := range d.Points {
-		n, mean, p50, p90, p99, p999 := "-", "-", "-", "-", "-", "-"
-		if p.Samples > 0 {
-			n = fmt.Sprintf("%d", p.Samples)
-			mean, p50, p90 = f0(p.MeanNs), f0(p.P50), f0(p.P90)
-			p99, p999 = f0(p.P99), f0(p.P999)
-		}
-		g.AddRow(f1(p.OfferedMRPS), f2(p.RealizedMRPS), f1(p.AchievedMRPS), f2(p.RawGBps),
-			n, mean, p50, p90, p99, p999)
-	}
-	return Report{
-		ID:    "ext-loadlat-" + d.Config.backend,
-		Title: fmt.Sprintf("Load-Latency Characterization (%s)", d.Config.backend),
-		Grids: []Grid{g},
-		Notes: []string{
+		notes: []string{
 			"offered = requested open-loop injection rate, realized = the rate the kernel's rounded 1 ps pacing interval actually paces, achieved = completed requests; past the knee the injectors are admission-limited and latency reflects full queues",
 			"percentiles from log-bucketed histograms (<=1.6% relative error above 31 ns); mean is exact; warmup completions excluded",
+		},
+		cells: func(o Options) []cell {
+			var cells []cell
+			for _, rate := range c.perPortMRPS {
+				spec := familySpec(fmt.Sprintf("ll-%s-%g", c.backend, rate), c.backend, scenario.Tenant{
+					Name: "probe", Ports: c.ports, Size: 128,
+					Inject: scenario.Injection{Mode: "open", RateMRPS: rate},
+				})
+				cells = append(cells, newCell(o, spec))
+			}
+			return cells
+		},
+		row: func(c cell, res scenario.Result) []string {
+			t, tot := c.spec.Tenants[0], res.Total
+			q := hist(tot.ReadHistNs, 50, 90, 99, 99.9)
+			mean := "-"
+			if q[0] != "-" {
+				mean = f0(tot.ReadLatencyNs.Mean())
+			}
+			return append([]string{f1(t.Inject.RateMRPS * float64(t.Ports)), f2(tot.OfferedMRPS),
+				f1(tot.MRPS), f2(tot.RawGBps), q[0], mean}, q[1:]...)
 		},
 	}
 }

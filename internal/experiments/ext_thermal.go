@@ -1,43 +1,23 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"hmcsim/internal/hmc"
-	"hmcsim/internal/runner"
 	"hmcsim/internal/scenario"
 )
 
-// Thermal exposes the closed-loop thermal feedback family: for each
-// backend, an open-loop write-rate ladder crossed with the strongest
-// and weakest Table III cooling environments, reporting where the
-// throttle controller engages and what the oscillating derate levels
-// cost in achieved throughput and write-latency tails; plus a
-// thermal-aware vs naive tenant placement comparison on a chained
-// system, where the per-hop cooling shadow makes the same hot set
-// cheaper on an upstream cube. The open-loop figures (9-12) compute
-// temperature from measured bandwidth after the fact; this family
-// runs the loop the other way, letting temperature push back on the
-// traffic while it flows.
-func Thermal() []Experiment {
-	out := make([]Experiment, 0, len(thermalSweepConfigs)+1)
-	for _, c := range thermalSweepConfigs {
-		c := c
-		out = append(out, Experiment{
-			ID:    "ext-thermal-" + c.backend,
-			Title: fmt.Sprintf("Thermal feedback sweep: write rate x cooling (%s)", c.label),
-			Run: runReport(func(o Options) (*ExtThermalSweepData, error) {
-				return ExtThermalSweep(o, c)
-			}),
-		})
-	}
-	return append(out, Experiment{
-		ID:    "ext-thermal-placement",
-		Title: "Thermal-aware vs naive tenant placement on a 4-cube chain",
-		Run:   runReport(ExtThermalPlacement),
-	})
-}
+// The closed-loop thermal feedback family: for each backend, an
+// open-loop write-rate ladder crossed with the strongest and weakest
+// Table III cooling environments, reporting where the throttle
+// controller engages and what the oscillating derate levels cost in
+// achieved throughput and write-latency tails; plus a thermal-aware
+// vs naive tenant placement comparison on a chained system, where the
+// per-hop cooling shadow makes the same hot set cheaper on an
+// upstream cube. The open-loop figures (9-12) compute temperature
+// from measured bandwidth after the fact; this family runs the loop
+// the other way, letting temperature push back on the traffic while
+// it flows.
 
 // thermalSweepConfig pins one backend's sweep: the injector width and
 // the per-port write-rate ladder, chosen so the bottom rung idles
@@ -63,143 +43,75 @@ var thermalSweepConfigs = []thermalSweepConfig{
 // and the weakest passive one.
 var thermalCoolings = []string{"Cfg1", "Cfg4"}
 
-// thermalSweepPoint is one measured (cooling, rate) cell.
-type thermalSweepPoint struct {
-	Cooling      string
-	PerPortMRPS  float64
-	OfferedMRPS  float64
-	AchievedMRPS float64
-	RawGBps      float64
-	PeakC        float64
-	HotZone      int
-	Level        int     // hottest zone's final derate level
-	LevelUps     uint64  // controller level-up transitions, all zones
-	Shutdowns    uint64  // shutdown entries, all zones
-	ThrottledPct float64 // hottest zone's derated sample share
-	Rejected     uint64  // accesses refused while shut down
-	Samples      uint64  // measured write completions
-	P99, P999    float64 // write round-trip tails, ns
+// thermalCell closes the feedback loop under cooling on top of the
+// experiment's fidelity windows; the family is always closed-loop.
+func thermalCell(o Options, spec scenario.Spec, cooling string) cell {
+	c := newCell(o, spec)
+	c.opts.Thermal, c.opts.Cooling = true, cooling
+	return c
 }
 
-// ExtThermalSweepData holds one backend's feedback sweep.
-type ExtThermalSweepData struct {
-	Config thermalSweepConfig
-	Points []thermalSweepPoint
+// zoneSummary folds a thermal run's zones: the hottest zone's peak,
+// index, final derate level and derated sample share, and the
+// controller transitions summed over all zones.
+type zoneSummary struct {
+	peakC               float64
+	zone, level         int
+	levelUps, shutdowns uint64
+	throttledPct        float64
 }
 
-// thermalSweepSpec compiles one sweep cell: uniform 128 B writes
-// injected open-loop at the given per-port rate (writes are the
-// paper's hottest mix, and the power model's write path is what the
-// leakage fixed point feeds back into).
-func thermalSweepSpec(c thermalSweepConfig, perPortMRPS float64) scenario.Spec {
-	s := scenario.Spec{
-		Name:        fmt.Sprintf("th-%s-%g", c.backend, perPortMRPS),
-		Description: "thermal feedback sweep cell",
-		Backend:     c.backend,
-		Tenants: []scenario.Tenant{{
-			Name:   "heat",
-			Ports:  c.ports,
-			Mix:    "wo",
-			Size:   128,
-			Inject: scenario.Injection{Mode: "open", RateMRPS: perPortMRPS},
-		}},
-	}
-	if c.backend == "chain" {
-		s.Topology = "chain"
-		s.Cubes = 4
-	}
-	return s
-}
-
-// thermalOptions enables the feedback loop on top of the experiment's
-// fidelity windows.
-func thermalOptions(o Options, cooling string) scenario.Options {
-	so := scenarioOptions(o)
-	so.Thermal = true
-	so.Cooling = cooling
-	return so
-}
-
-// summarize folds a thermal run into a sweep point: system totals,
-// the hottest zone's controller trajectory, and the write tails.
-func summarize(res scenario.Result) thermalSweepPoint {
-	p := thermalSweepPoint{
-		AchievedMRPS: res.Total.MRPS,
-		RawGBps:      res.Total.RawGBps,
-		Rejected:     res.Thermal.Rejected,
-	}
-	for z, s := range res.Thermal.Zones {
-		if s.MaxC > p.PeakC {
-			p.PeakC, p.HotZone = s.MaxC, z
-			p.Level, p.ThrottledPct = s.Level, s.ThrottledFrac*100
+func hottestZone(res scenario.Result) zoneSummary {
+	var z zoneSummary
+	for i, s := range res.Thermal.Zones {
+		if s.MaxC > z.peakC {
+			z.peakC, z.zone = s.MaxC, i
+			z.level, z.throttledPct = s.Level, s.ThrottledFrac*100
 		}
-		p.LevelUps += s.LevelUps
-		p.Shutdowns += s.Shutdowns
+		z.levelUps += s.LevelUps
+		z.shutdowns += s.Shutdowns
 	}
-	if h := res.Total.WriteHistNs; h != nil && h.N() > 0 {
-		p.Samples = h.N()
-		q := h.Percentiles(99, 99.9)
-		p.P99, p.P999 = q[0], q[1]
-	}
-	return p
+	return z
 }
 
-// ExtThermalSweep runs one backend's (cooling x rate) grid, fanning
-// the cells across the worker pool. Every cell owns its own engine,
-// throttle and thermal runtime, so the grid is deterministic in the
-// worker count.
-func ExtThermalSweep(o Options, c thermalSweepConfig) (*ExtThermalSweepData, error) {
-	d := &ExtThermalSweepData{Config: c}
-	n := len(thermalCoolings) * len(c.perPortMRPS)
-	cfg := runner.Config{Workers: o.Workers, Progress: o.Progress}
-	pts, err := runner.Map(o.context(), cfg, n, func(_ context.Context, i int) (thermalSweepPoint, error) {
-		cooling := thermalCoolings[i/len(c.perPortMRPS)]
-		rate := c.perPortMRPS[i%len(c.perPortMRPS)]
-		res, err := scenario.Run(thermalSweepSpec(c, rate), thermalOptions(o, cooling))
-		if err != nil {
-			return thermalSweepPoint{}, err
-		}
-		p := summarize(res)
-		p.Cooling = cooling
-		p.PerPortMRPS = rate
-		p.OfferedMRPS = rate * float64(c.ports)
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.Points = pts
-	return d, nil
-}
-
-// Report renders the grid: one row per (cooling, offered rate) with
-// the controller's trajectory and the tails it inflates.
-func (d *ExtThermalSweepData) Report() Report {
-	g := Grid{
-		Title: fmt.Sprintf("Closed-loop throttling, open-loop 128 B writes, %s", d.Config.label),
-		Cols: []string{"Cooling", "Offered MRPS", "Achieved MRPS", "Raw GB/s",
+// thermalFamily is one backend's (cooling x rate) grid of uniform
+// 128 B writes injected open-loop (writes are the paper's hottest
+// mix, and the power model's write path is what the leakage fixed
+// point feeds back into): one row per cell with the controller's
+// trajectory and the tails it inflates.
+func thermalFamily(c thermalSweepConfig) rowFamily {
+	return rowFamily{
+		id:    "ext-thermal-" + c.backend,
+		name:  fmt.Sprintf("Thermal feedback sweep: write rate x cooling (%s)", c.label),
+		title: fmt.Sprintf("Thermal Feedback Sweep (%s)", c.backend),
+		grid:  fmt.Sprintf("Closed-loop throttling, open-loop 128 B writes, %s", c.label),
+		cols: []string{"Cooling", "Offered MRPS", "Achieved MRPS", "Raw GB/s",
 			"Peak degC", "Level", "Level-ups", "Shutdowns", "Rejected",
 			"Throttled %", "n", "p99 ns", "p99.9 ns"},
-	}
-	for _, p := range d.Points {
-		n, p99, p999 := "-", "-", "-"
-		if p.Samples > 0 {
-			n = fmt.Sprintf("%d", p.Samples)
-			p99, p999 = f0(p.P99), f0(p.P999)
-		}
-		g.AddRow(p.Cooling, f1(p.OfferedMRPS), f1(p.AchievedMRPS), f2(p.RawGBps),
-			f1(p.PeakC), fmt.Sprintf("%d", p.Level),
-			fmt.Sprintf("%d", p.LevelUps), fmt.Sprintf("%d", p.Shutdowns),
-			fmt.Sprintf("%d", p.Rejected), f1(p.ThrottledPct), n, p99, p999)
-	}
-	return Report{
-		ID:    "ext-thermal-" + d.Config.backend,
-		Title: fmt.Sprintf("Thermal Feedback Sweep (%s)", d.Config.backend),
-		Grids: []Grid{g},
-		Notes: []string{
+		notes: []string{
 			"temperatures advance a lumped-RC model from live backend counters each sample; the controller derates one level per sample past each threshold and recovers with hysteresis",
 			"level-ups and shutdowns count controller transitions across the whole run (warmup included — the device heats while it warms); peak/level/throttled% are the hottest zone's",
 			"RC dynamics are compressed into sim time (temperatures real, clock accelerated); p99/p99.9 from log-bucketed write round-trip histograms, measured window only",
+		},
+		cells: func(o Options) []cell {
+			var cells []cell
+			for _, cooling := range thermalCoolings {
+				for _, rate := range c.perPortMRPS {
+					spec := familySpec(fmt.Sprintf("th-%s-%g", c.backend, rate), c.backend, scenario.Tenant{
+						Name: "heat", Ports: c.ports, Mix: "wo", Size: 128,
+						Inject: scenario.Injection{Mode: "open", RateMRPS: rate},
+					})
+					cells = append(cells, thermalCell(o, spec, cooling))
+				}
+			}
+			return cells
+		},
+		row: func(c cell, res scenario.Result) []string {
+			t, z := c.spec.Tenants[0], hottestZone(res)
+			return append([]string{c.opts.Cooling, f1(t.Inject.RateMRPS * float64(t.Ports)),
+				f1(res.Total.MRPS), f2(res.Total.RawGBps), f1(z.peakC), fmt.Sprint(z.level),
+				fmt.Sprint(z.levelUps), fmt.Sprint(z.shutdowns), fmt.Sprint(res.Thermal.Rejected),
+				f1(z.throttledPct)}, hist(res.Total.WriteHistNs, 99, 99.9)...)
 		},
 	}
 }
@@ -217,60 +129,35 @@ var placementCases = []struct {
 	{"aware", 0},
 }
 
-// placementResult is one layout's measured outcome.
-type placementResult struct {
-	Name    string
-	Res     scenario.Result
-	Summary thermalSweepPoint
-}
-
-// ExtThermalPlacementData holds the placement comparison.
-type ExtThermalPlacementData struct {
-	Cases []placementResult
-}
-
 // placementSpec is the contended system both layouts share: a hotspot
 // write tenant (the heat source under placement) alongside a uniform
 // read tenant spread over the whole chain.
 func placementSpec(offset uint64) scenario.Spec {
-	return scenario.Spec{
-		Name:        "th-placement",
-		Description: "thermal placement cell",
-		Topology:    "chain",
-		Cubes:       4,
-		Tenants: []scenario.Tenant{
-			{
-				Name: "hot", Ports: 4, Mix: "wo", Size: 128,
-				Access: scenario.Access{Kind: "hotspot", HotFraction: 0.1, HotRate: 0.95, OffsetBytes: offset},
-			},
-			{
-				Name: "scan", Ports: 2, Mix: "ro", Size: 128,
-				Inject: scenario.Injection{Mode: "open", RateMRPS: 2},
-			},
+	return familySpec("th-placement", "chain",
+		scenario.Tenant{
+			Name: "hot", Ports: 4, Mix: "wo", Size: 128,
+			Access: scenario.Access{Kind: "hotspot", HotFraction: 0.1, HotRate: 0.95, OffsetBytes: offset},
 		},
-	}
+		scenario.Tenant{
+			Name: "scan", Ports: 2, Mix: "ro", Size: 128,
+			Inject: scenario.Injection{Mode: "open", RateMRPS: 2},
+		},
+	)
 }
 
-// ExtThermalPlacement runs both layouts under Cfg3 — strong enough
-// that the well-placed layout only derates, weak enough that the
-// naive one oscillates through shutdown.
-func ExtThermalPlacement(o Options) (*ExtThermalPlacementData, error) {
-	d := &ExtThermalPlacementData{}
-	cases, err := parallelMap(o, len(placementCases), func(i int) placementResult {
-		c := placementCases[i]
-		res := scenario.MustRun(placementSpec(c.offset), thermalOptions(o, "Cfg3"))
-		return placementResult{Name: c.name, Res: res, Summary: summarize(res)}
-	})
+// runPlacement runs both layouts under Cfg3 — strong enough that the
+// well-placed layout only derates, weak enough that the naive one
+// oscillates through shutdown — and renders the system-level thermal
+// outcome of each layout, then the per-tenant service each delivered.
+func runPlacement(o Options) (Report, error) {
+	var cells []cell
+	for _, pc := range placementCases {
+		cells = append(cells, thermalCell(o, placementSpec(pc.offset), "Cfg3"))
+	}
+	res, err := runCells(o, cells)
 	if err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	d.Cases = cases
-	return d, nil
-}
-
-// Report renders the comparison: the system-level thermal outcome of
-// each layout, then the per-tenant service each one delivered.
-func (d *ExtThermalPlacementData) Report() Report {
 	sys := Grid{
 		Title: "Placement vs thermal outcome (4-cube chain, Cfg3)",
 		Cols: []string{"Placement", "Hot cube", "Peak degC", "Level-ups",
@@ -280,24 +167,23 @@ func (d *ExtThermalPlacementData) Report() Report {
 		Title: "Per-tenant service under each placement",
 		Cols:  []string{"Placement", "Tenant", "MRPS", "Lat mean ns", "p99 ns", "p99.9 ns"},
 	}
-	for _, c := range d.Cases {
-		s := c.Summary
-		sys.AddRow(c.Name, fmt.Sprintf("%d", s.HotZone), f1(s.PeakC),
-			fmt.Sprintf("%d", s.LevelUps), fmt.Sprintf("%d", s.Shutdowns),
-			fmt.Sprintf("%d", s.Rejected), f1(s.ThrottledPct),
-			f1(s.AchievedMRPS), f2(s.RawGBps))
-		for _, ts := range c.Res.Tenants {
-			var sum = ts.WriteLatencyNs
-			h := ts.WriteHistNs
+	for i, pc := range placementCases {
+		r, z := res[i], hottestZone(res[i])
+		sys.AddRow(pc.name, fmt.Sprint(z.zone), f1(z.peakC),
+			fmt.Sprint(z.levelUps), fmt.Sprint(z.shutdowns),
+			fmt.Sprint(r.Thermal.Rejected), f1(z.throttledPct),
+			f1(r.Total.MRPS), f2(r.Total.RawGBps))
+		for _, ts := range r.Tenants {
+			sum, h := ts.WriteLatencyNs, ts.WriteHistNs
 			if ts.ReadHistNs != nil && ts.ReadHistNs.N() > 0 {
 				sum, h = ts.ReadLatencyNs, ts.ReadHistNs
 			}
-			mean, p99, p999 := "-", "-", "-"
-			if h != nil && h.N() > 0 {
-				q := h.Percentiles(99, 99.9)
-				mean, p99, p999 = f0(sum.Mean()), f0(q[0]), f0(q[1])
+			q := hist(h, 99, 99.9)
+			mean := "-"
+			if q[0] != "-" {
+				mean = f0(sum.Mean())
 			}
-			ten.AddRow(c.Name, ts.Name, f1(ts.MRPS), mean, p99, p999)
+			ten.AddRow(pc.name, ts.Name, f1(ts.MRPS), mean, q[1], q[2])
 		}
 	}
 	return Report{
@@ -308,5 +194,5 @@ func (d *ExtThermalPlacementData) Report() Report {
 			"naive packs the hotspot tenant's hot set onto the last cube of the chain — downstream in the cooling shadow (shared resistance scaled 1 + 0.15/hop); aware rotates it onto cube 0",
 			"the workload is identical in both layouts; only the hot set's home cube moves, so the thermal delta is pure placement",
 		},
-	}
+	}, nil
 }

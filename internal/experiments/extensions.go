@@ -26,21 +26,37 @@ func Extensions() []Experiment {
 }
 
 // AllWithExtensions returns the paper registry followed by the
-// extension experiments, the scenario library, the cross-backend
-// layer, the load-latency characterization family, the sharded-system
-// library, the closed-loop thermal feedback family, the
-// fault-injection resilience family, the production traffic-model
-// scenarios, and the QoS/SLO characterization family.
+// extension experiments and the scenario-backed families: the
+// scenario overview, the whole scenario library, the cross-backend
+// matrix, the load-latency characterization, the sharded-system
+// overview, the closed-loop thermal feedback family, the
+// fault-injection resilience family, and the QoS/SLO
+// characterization.
 func AllWithExtensions() []Experiment {
 	out := append(All(), Extensions()...)
+	out = append(out, scenarioOverview.experiment())
 	out = append(out, Scenarios()...)
-	out = append(out, Backends()...)
-	out = append(out, LoadLatency()...)
-	out = append(out, ShardedScenarios()...)
-	out = append(out, Thermal()...)
-	out = append(out, Faults()...)
-	out = append(out, TrafficScenarios()...)
-	return append(out, SLO()...)
+	out = append(out, Experiment{"ext-backends", "Cross-backend matrix: the same workloads on hmc, ddr4 and chain", runBackends})
+	for _, c := range loadLatConfigs {
+		out = append(out, loadLatFamily(c).experiment())
+	}
+	out = append(out, shardedOverview.experiment())
+	for _, c := range thermalSweepConfigs {
+		out = append(out, thermalFamily(c).experiment())
+	}
+	out = append(out, Experiment{"ext-thermal-placement", "Thermal-aware vs naive tenant placement on a 4-cube chain", runPlacement})
+	for _, c := range faultSweepConfigs {
+		out = append(out, faultFamily(c).experiment())
+	}
+	out = append(out, Experiment{"ext-fault-chain", "Fault injection: intensity ladder, outage timeline and ring reroute (chain)", runFaultChain})
+	for _, c := range sloConfigs {
+		out = append(out, Experiment{
+			ID:    "ext-slo-" + c.backend,
+			Title: fmt.Sprintf("QoS classes: SLO attainment across a phased load ladder (%s)", c.label),
+			Run:   func(o Options) (Report, error) { return runSLO(o, c) },
+		})
+	}
+	return out
 }
 
 // ExtReadRatioData holds the read-ratio sweep.

@@ -1,56 +1,70 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"hmcsim/internal/gups"
 )
 
+// registryIDs is the full extended registry in order: the paper's
+// artifacts, the gups-based extensions, then the scenario-backed
+// families with the whole scn-* library grouped after the overview.
+var registryIDs = strings.Fields(`
+	table1 table2 table3 figure3 figure6 figure7 figure8 figure9 figure10
+	figure11 figure12 figure13 figure14 figure15 figure16 figure17 figure18
+	ext-readratio ext-openpage ext-linkrate ext-hmc20 ext-ddr ext-pim ext-chain
+	scenarios
+	scn-uniform scn-zipfian scn-hotspot scn-mixed-rw scn-seqjump scn-open-loop
+	scn-tenants-4 scn-chain-4 scn-uniform-ddr4 scn-hotspot-ddr4 scn-tenants-4-ddr4
+	scn-chain-16 scn-chain-16-remote scn-hmc-boards scn-ddr4-quad
+	scn-burst scn-diurnal scn-churn
+	ext-backends ext-loadlat-hmc ext-loadlat-ddr4 ext-loadlat-chain
+	sharded
+	ext-thermal-hmc ext-thermal-ddr4 ext-thermal-chain ext-thermal-placement
+	ext-fault-hmc ext-fault-ddr4 ext-fault-chain
+	ext-slo-hmc ext-slo-ddr4 ext-slo-chain`)
+
 func TestExtensionsRegistry(t *testing.T) {
-	exts := Extensions()
-	if len(exts) != 7 {
-		t.Fatalf("%d extensions, want 7", len(exts))
-	}
-	scns := Scenarios()
-	if want := 1 + 8; len(scns) != want { // overview + one per builtin spec
-		t.Fatalf("%d scenario experiments, want %d", len(scns), want)
-	}
-	backs := Backends()
-	if want := 1 + 3; len(backs) != want { // matrix + one per cross-backend spec
-		t.Fatalf("%d backend experiments, want %d", len(backs), want)
-	}
-	lls := LoadLatency()
-	if want := 3; len(lls) != want { // one sweep per backend
-		t.Fatalf("%d load-latency experiments, want %d", len(lls), want)
-	}
-	shards := ShardedScenarios()
-	if want := 1 + 4; len(shards) != want { // overview + one per sharded spec
-		t.Fatalf("%d sharded experiments, want %d", len(shards), want)
-	}
-	therms := Thermal()
-	if want := 3 + 1; len(therms) != want { // one sweep per backend + placement
-		t.Fatalf("%d thermal experiments, want %d", len(therms), want)
-	}
-	faults := Faults()
-	if want := 3; len(faults) != want { // one fault family per backend
-		t.Fatalf("%d fault experiments, want %d", len(faults), want)
-	}
-	traffic := TrafficScenarios()
-	if want := 3; len(traffic) != want { // one per traffic-model spec
-		t.Fatalf("%d traffic experiments, want %d", len(traffic), want)
-	}
-	slos := SLO()
-	if want := 3; len(slos) != want { // one SLO family per backend
-		t.Fatalf("%d slo experiments, want %d", len(slos), want)
+	if n := len(Extensions()); n != 7 {
+		t.Fatalf("%d extensions, want 7", n)
 	}
 	all := AllWithExtensions()
-	if want := 17 + len(exts) + len(scns) + len(backs) + len(lls) + len(shards) + len(therms) + len(faults) + len(traffic) + len(slos); len(all) != want {
-		t.Fatalf("%d combined experiments, want %d", len(all), want)
-	}
-	for _, e := range exts {
-		if e.ID == "" || e.Run == nil {
-			t.Fatalf("incomplete extension %+v", e)
+	var got []string
+	for _, e := range all {
+		if e.ID == "" || e.Title == "" || e.Run == nil {
+			t.Fatalf("incomplete experiment %+v", e)
 		}
+		got = append(got, e.ID)
+	}
+	if strings.Join(got, " ") != strings.Join(registryIDs, " ") {
+		t.Fatalf("registry ids:\n got  %v\n want %v", got, registryIDs)
+	}
+}
+
+// TestScenarioFamiliesRejectBadOverlay: an invalid caller overlay on a
+// scenario-backed entry is an error, never a panic in a pool worker.
+// The ext-fault-* family replaces the fault overlay with its own plans
+// and so runs clean.
+func TestScenarioFamiliesRejectBadOverlay(t *testing.T) {
+	gupsBacked := map[string]bool{}
+	for _, e := range append(All(), Extensions()...) {
+		gupsBacked[e.ID] = true
+	}
+	for _, e := range AllWithExtensions() {
+		if gupsBacked[e.ID] {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			o := fastOpts(2)
+			o.Faults.Plan = "bogus=1"
+			_, err := e.Run(o)
+			if replaces := strings.HasPrefix(e.ID, "ext-fault-"); replaces && err != nil {
+				t.Errorf("fault family failed under a replaced overlay: %v", err)
+			} else if !replaces && err == nil {
+				t.Error("invalid fault overlay accepted")
+			}
+		})
 	}
 }
 

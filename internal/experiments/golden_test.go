@@ -27,8 +27,9 @@ func TestGoldenQuick(t *testing.T) {
 		t.Skip("golden regeneration runs the full quick registry")
 	}
 	opts := Quick()
+	registered := map[string]bool{}
 	for _, e := range AllWithExtensions() {
-		e := e
+		registered[e.ID+".txt"], registered[e.ID+".csv"] = true, true
 		t.Run(e.ID, func(t *testing.T) {
 			rep, err := e.Run(opts)
 			if err != nil {
@@ -37,6 +38,17 @@ func TestGoldenQuick(t *testing.T) {
 			checkGolden(t, e.ID+".txt", rep.Table())
 			checkGolden(t, e.ID+".csv", rep.CSV())
 		})
+	}
+	// A golden whose id is no longer registered means an experiment
+	// was dropped or renamed without its recorded output.
+	files, err := os.ReadDir(filepath.Join("testdata", "golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !registered[f.Name()] {
+			t.Errorf("orphan golden %s: no registered experiment writes it", f.Name())
+		}
 	}
 }
 
