@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"hmcsim/internal/fault"
 	"hmcsim/internal/gups"
 	"hmcsim/internal/mem"
 	"hmcsim/internal/sim"
@@ -14,12 +13,14 @@ import (
 // tenantDriver is one tenant's injector over a mem.Backend port: a
 // closed-loop outstanding window (Outstanding x Ports requests in
 // flight) or an open-loop paced arrival stream, addresses from the
-// tenant's generator over the backend's global address space. It is
-// the backend-generic compilation target for every topology that does
-// not model per-port issue hardware (the hmc backend keeps the
-// cycle-accurate gups.Port loop); because it only speaks mem.Port,
-// the same driver runs unmodified on chain and ddr4 backends — and on
-// any fourth backend the mem package grows.
+// tenant's generator over the backend's global address space. Every
+// tenant lowers onto one, except on an undecorated hmc run, whose
+// tenants keep one cycle-accurate gups.Port per declared port (the
+// lowering rule in buildBoards). Because it only speaks mem.Port, the
+// same driver runs unmodified on chain and ddr4 backends, on hmc
+// under thermal, faults or the traffic features gups.Port lacks — and
+// on any fourth backend the mem package grows. On hmc it opens one
+// FPGA port per tenant, not per declared port (ROADMAP item 1).
 type tenantDriver struct {
 	eng      *sim.Engine
 	port     mem.Port
@@ -135,18 +136,14 @@ type opTimeout struct{ op *clientOp }
 func (e *opTimeout) Fire(*sim.Engine) { e.op.fireTimeout() }
 
 // newTenantDriver lowers tenant index ti of the (defaulted) spec onto
-// a backend. The seed and linear-start derivations match the GUPS
-// rig's per-port ones, keyed by tenant index, so a spec replays
-// byte-identically across runs and worker counts.
-func newTenantDriver(be mem.Backend, t Tenant, ti int, o Options, horizon sim.Time) (*tenantDriver, error) {
-	return newTenantDriverPort(be, be.Port(ti), t, ti, o, horizon)
-}
-
-// newTenantDriverPort is newTenantDriver with an explicit issue port:
-// the sharded runner injects a mesh-aware port here (local traffic to
-// the home replica, remote traffic across the shard exchange) while
-// capacity, limits and wire costs still come from the backend.
-func newTenantDriverPort(be mem.Backend, port mem.Port, t Tenant, ti int, o Options, horizon sim.Time) (*tenantDriver, error) {
+// a backend through an explicit issue port: the backend's own port ti,
+// or on a sharded spec a mesh-aware port (local traffic to the home
+// replica, remote traffic across the shard exchange); capacity, limits
+// and wire costs still come from the backend. The seed and
+// linear-start derivations match the GUPS rig's per-port ones, keyed
+// by tenant index, so a spec replays byte-identically across runs and
+// worker counts.
+func newTenantDriver(be mem.Backend, port mem.Port, t Tenant, ti int, o Options, horizon sim.Time) (*tenantDriver, error) {
 	ty, err := t.reqType()
 	if err != nil {
 		return nil, err
@@ -265,6 +262,25 @@ func (t Tenant) aggregateInterval() (sim.Duration, error) {
 
 // start arms the injector at the tenant's lifecycle start.
 func (d *tenantDriver) start() { d.arm(d.startAt) }
+
+// measure discards the warmup's completions in place (histogram
+// storage kept) and opens the measured window.
+func (d *tenantDriver) measure() {
+	d.mon.Reset()
+	d.measuring = true
+}
+
+// fold adds the measured window, resilience accounting included, to
+// the tenant's and the run's accumulators.
+func (d *tenantDriver) fold(tenant, total *monAccum) {
+	for _, a := range [2]*monAccum{tenant, total} {
+		a.add(d.mon)
+		a.errs += d.errs
+		a.retries += d.retries
+		a.abandoned += d.abandoned
+		a.failed += d.failed
+	}
+}
 
 // Fire is the pacing/retry event entry point; only it clears the
 // armed flag (completions call issue directly and must leave an armed
@@ -587,75 +603,4 @@ func (op *clientOp) fireTimeout() {
 	d.inFlight--
 	op.release()
 	d.issue()
-}
-
-// runDrivers executes the (defaulted) spec's tenants over a built
-// backend: warmup, monitor reset, measured window, per-tenant stats.
-// With Options.Faults the backend is first wrapped in the fault
-// injector (innermost: the device is what fails); with
-// Options.Thermal the stack is then wrapped in the throttle decorator
-// and the feedback runtime samples it throughout both windows (the
-// device heats during warmup, like real hardware).
-func runDrivers(spec Spec, o Options, be mem.Backend) (Result, error) {
-	horizon := o.Warmup + o.Measure
-	var inj *fault.Injector
-	if o.Faults.Plan != "" {
-		plan, err := fault.ParsePlan(o.Faults.Plan)
-		if err != nil {
-			return Result{}, err
-		}
-		if !plan.Zero() {
-			inj, err = buildInjector(be, plan, o.Seed)
-			if err != nil {
-				return Result{}, err
-			}
-			be = inj
-		}
-	}
-	var loop *thermalLoop
-	if o.Thermal {
-		var err error
-		loop, err = buildThermalLoop(o, be)
-		if err != nil {
-			return Result{}, err
-		}
-		be = loop.throttle
-		loop.runtime.Start(horizon)
-	}
-	drivers := make([]*tenantDriver, len(spec.Tenants))
-	for ti, t := range spec.Tenants {
-		d, err := newTenantDriver(be, t, ti, o, horizon)
-		if err != nil {
-			return Result{}, err
-		}
-		drivers[ti] = d
-		d.start()
-	}
-	if inj != nil {
-		inj.Start(horizon)
-	}
-	eng := be.Engine()
-	eng.RunUntil(o.Warmup)
-	for _, d := range drivers {
-		// The warmup/measurement split: cold-start completions are
-		// discarded in place (histogram storage kept) before the
-		// measured window opens.
-		d.mon.Reset()
-		d.measuring = true
-	}
-	eng.RunUntil(horizon)
-
-	accums := make([]monAccum, len(drivers))
-	var total monAccum
-	for ti, d := range drivers {
-		accums[ti].add(d.mon)
-		accums[ti].addResilience(d.errs, d.retries, d.abandoned, d.failed)
-		total.add(d.mon)
-		total.addResilience(d.errs, d.retries, d.abandoned, d.failed)
-	}
-	res := assemble(spec, o, accums, total)
-	if loop != nil {
-		res.Thermal = loop.stats()
-	}
-	return res, nil
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -217,5 +218,56 @@ func TestFaultHMCGenericParity(t *testing.T) {
 	faulted := MustRun(faultSpec("hmc"), faultOpts(Faults{MaxRetries: 1}))
 	if faulted.Total.MRPS < base.Total.MRPS/8 || faulted.Total.MRPS > base.Total.MRPS*8 {
 		t.Errorf("driver-path hmc MRPS %.1f far from classic-path %.1f", faulted.Total.MRPS, base.Total.MRPS)
+	}
+}
+
+// TestDecoratorTransparency: decorators that never act leave a run
+// exactly unchanged. Retries without a fault plan resubmit nothing on
+// a healthy backend, and a thermal loop under the strongest cooling
+// never derates, so reads, writes, both latency summaries and every
+// histogram bucket match the plain run, closed and open loop. hmc is
+// left out: its decorated runs open one FPGA port per tenant instead
+// of one per declared port (ROADMAP item 1).
+func TestDecoratorTransparency(t *testing.T) {
+	for _, backend := range []string{"ddr4", "chain"} {
+		for _, inject := range []Injection{{}, {Mode: "open", RateMRPS: 2}} {
+			spec := faultSpec(backend)
+			spec.Tenants[0].Inject = inject
+			name := backend + "/closed"
+			if inject.Mode != "" {
+				name = backend + "/open"
+			}
+			t.Run(name, func(t *testing.T) {
+				o := Options{Warmup: 20 * sim.Microsecond, Measure: 100 * sim.Microsecond, Seed: 1}
+				plain := MustRun(spec, o).Total
+				if plain.Reads == 0 {
+					t.Fatal("plain run measured no reads")
+				}
+				retry := o
+				retry.Faults = Faults{MaxRetries: 3}
+				cool := o
+				cool.Thermal, cool.Cooling = true, "Cfg1"
+				cooled := MustRun(spec, cool)
+				if cooled.Thermal.Throttled() {
+					t.Fatal("thermal loop derated under Cfg1; it would not be a no-op")
+				}
+				for _, arm := range []struct {
+					name string
+					got  TenantStats
+				}{{"MaxRetries 3", MustRun(spec, retry).Total}, {"thermal Cfg1", cooled.Total}} {
+					g := arm.got
+					if g.Reads != plain.Reads || g.Writes != plain.Writes {
+						t.Errorf("%s: %d reads / %d writes, plain %d / %d", arm.name, g.Reads, g.Writes, plain.Reads, plain.Writes)
+					}
+					if !reflect.DeepEqual(g.ReadLatencyNs, plain.ReadLatencyNs) || !reflect.DeepEqual(g.WriteLatencyNs, plain.WriteLatencyNs) {
+						t.Errorf("%s: latency summaries differ: read mean %.1f vs plain %.1f ns", arm.name, g.ReadLatencyNs.Mean(), plain.ReadLatencyNs.Mean())
+					}
+					if !reflect.DeepEqual(g.ReadHistNs, plain.ReadHistNs) || !reflect.DeepEqual(g.WriteHistNs, plain.WriteHistNs) {
+						t.Errorf("%s: latency histograms differ from the plain run", arm.name)
+					}
+				}
+				t.Logf("%d reads at %.1f ns mean", plain.Reads, plain.ReadLatencyNs.Mean())
+			})
+		}
 	}
 }

@@ -3,10 +3,8 @@ package scenario
 import (
 	"fmt"
 
-	"hmcsim/internal/chain"
-	"hmcsim/internal/fpga"
+	"hmcsim/internal/cooling"
 	"hmcsim/internal/gups"
-	"hmcsim/internal/mem"
 	"hmcsim/internal/sim"
 	"hmcsim/internal/stats"
 	"hmcsim/internal/workloads"
@@ -65,11 +63,6 @@ type Options struct {
 	// spec, Shards only schedules it — so the flag is purely a
 	// wall-clock knob.
 	Shards int
-
-	// forceMesh routes Groups == 1 specs through the sharded runner
-	// (a one-shard mesh). Test/bench hook: the parity suite pins the
-	// meshed path byte-identical to the classic one on the same spec.
-	forceMesh bool
 }
 
 func (o Options) withDefaults() Options {
@@ -182,14 +175,6 @@ func (a *monAccum) add(m gups.Monitor) {
 	stats.MergeHist(&a.whist, m.WriteHistNs)
 }
 
-// addResilience folds one driver's error/retry accounting.
-func (a *monAccum) addResilience(errs, retries, abandoned, failed uint64) {
-	a.errs += errs
-	a.retries += retries
-	a.abandoned += abandoned
-	a.failed += failed
-}
-
 func (a monAccum) stats(name string, secs float64) TenantStats {
 	ts := TenantStats{
 		Name:           name,
@@ -256,49 +241,27 @@ func Run(spec Spec, o Options) (Result, error) {
 		o.Measure = spec.Measure
 	}
 	// The effective fault surface: the spec's, with the CLI's set
-	// fields overlaid, carried forward in o for the run functions.
+	// fields overlaid, carried forward in o for the runner.
 	o.Faults = spec.Faults.merged(o.Faults)
 	if o.Faults.Active() {
 		if err := o.Faults.validate(); err != nil {
 			return Result{}, fmt.Errorf("scenario %q: %w", spec.Name, err)
 		}
 	}
-	if spec.Groups > 1 || o.forceMesh {
+	if spec.Groups > 1 {
 		if o.Thermal {
 			return Result{}, fmt.Errorf("scenario %q: thermal feedback runs on the single-engine path (Groups == 1)", spec.Name)
 		}
 		if o.Faults.Active() {
 			return Result{}, fmt.Errorf("scenario %q: fault injection runs on the single-engine path (Groups == 1)", spec.Name)
 		}
-		if spec.Backend == "hmc" && spec.needsGenericDrivers() {
-			// Validate rejects Groups > 1; this guards the forceMesh
-			// test hook, whose hmc arm also runs gups ports.
-			return Result{}, fmt.Errorf("scenario %q: burst arrivals, ramped phases and tenant lifecycle do not run on meshed hmc boards", spec.Name)
-		}
-		return runSharded(spec, o)
 	}
 	if o.Thermal {
-		if err := validateThermal(spec, o); err != nil {
+		if _, err := cooling.ByName(coolingName(o)); err != nil {
 			return Result{}, err
 		}
 	}
-	switch spec.Backend {
-	case "hmc":
-		if o.Thermal || o.Faults.Active() || spec.needsGenericDrivers() {
-			// Thermal throttling and fault injection decorate the
-			// backend, which gups.BuildRigPorts cannot wrap, and the
-			// retries, burst, ramp and lifecycle features live only in
-			// the tenant driver; those runs take the generic driver
-			// path (see runHMCDrivers). Fixed-rate phase schedules
-			// stay on the gups path.
-			return runHMCDrivers(spec, o)
-		}
-		return runSingle(spec, o)
-	case "ddr4":
-		return runDDR(spec, o)
-	default:
-		return runChain(spec, o)
-	}
+	return run(spec, o)
 }
 
 // MustRun is Run that panics on spec errors (tests, examples).
@@ -332,7 +295,7 @@ func portConfigs(spec Spec, seed uint64) ([]gups.PortConfig, []int, error) {
 			return nil, nil, err
 		}
 		if t.Start != 0 || t.Stop != 0 || t.Inject.Mode == "burst" {
-			// Run routes these to the generic drivers (and Validate
+			// buildBoards lowers these onto tenant drivers (and Validate
 			// rejects them on sharded hmc); reaching here is a dispatch
 			// bug, not a user error.
 			return nil, nil, fmt.Errorf("scenario: tenant %q: burst arrivals and tenant lifecycle do not lower onto gups ports (internal dispatch error)", t.Name)
@@ -374,51 +337,6 @@ func portConfigs(spec Spec, seed uint64) ([]gups.PortConfig, []int, error) {
 	return pcs, owner, nil
 }
 
-// runSingle executes a scenario on one cube behind the AC-510
-// controller: every tenant's ports share the device, contending for
-// links, vaults and banks exactly as nine GUPS ports do. The hmc
-// backend keeps the cycle-accurate gups.Port issue loops (tag pool,
-// write FIFO, bank stop signal), driven through the mem.Backend shim
-// the rig now carries.
-func runSingle(spec Spec, o Options) (Result, error) {
-	pcs, owner, err := portConfigs(spec, o.Seed)
-	if err != nil {
-		return Result{}, err
-	}
-	base := gups.Config{Seed: o.Seed, Warmup: o.Warmup, Measure: o.Measure}
-	if n := len(pcs); n > fpga.DefaultParams().Ports {
-		fp := fpga.DefaultParams()
-		fp.Ports = n
-		base.FPGAParams = &fp
-	}
-	rig, err := gups.BuildRigPorts(base, pcs)
-	if err != nil {
-		return Result{}, err
-	}
-	horizon := o.Warmup + o.Measure
-	if spec.Refresh {
-		rig.Dev.StartRefresh(horizon, false)
-	}
-	for _, p := range rig.Ports {
-		p.Start()
-	}
-	rig.Eng.RunUntil(o.Warmup)
-	for _, p := range rig.Ports {
-		p.ResetMonitor()
-		p.SetMeasuring(true)
-	}
-	rig.Eng.RunUntil(horizon)
-
-	accums := make([]monAccum, len(spec.Tenants))
-	var total monAccum
-	for pi, p := range rig.Ports {
-		m := p.Monitor()
-		accums[owner[pi]].add(m)
-		total.add(m)
-	}
-	return assemble(spec, o, accums, total), nil
-}
-
 // liveSeconds is the tenant's live overlap with the measured window,
 // in seconds: reported rates are normalized to the time the tenant
 // could actually issue, so a churned tenant shows its true rate.
@@ -439,8 +357,8 @@ func liveSeconds(t Tenant, o Options) float64 {
 // assemble folds per-tenant accumulators into the run result: rates
 // over each tenant's live window, QoS/SLO annotation straight from
 // the latency histograms, and the aggregate row over the full window.
-// Every compilation path (gups ports, generic drivers, sharded mesh)
-// ends here, so reports agree field-for-field across them.
+// Both issue loops (gups ports, tenant drivers) end here, so reports
+// agree field-for-field across them.
 func assemble(spec Spec, o Options, accums []monAccum, total monAccum) Result {
 	res := Result{Spec: spec, Elapsed: o.Measure, Tail: o.Tail, Faults: o.Faults.Active()}
 	var offered float64
@@ -478,32 +396,6 @@ func annotate(ts *TenantStats, t Tenant) {
 	if ts.WriteHistNs != nil {
 		ts.SLOMet += ts.WriteHistNs.CountAtMost(thr)
 	}
-}
-
-// runChain executes a scenario over a chain or ring of cubes behind
-// the chain backend adapter.
-func runChain(spec Spec, o Options) (Result, error) {
-	topo := chain.Chain
-	if spec.Topology == "ring" {
-		topo = chain.Ring
-	}
-	eng := sim.NewEngine()
-	nw, err := chain.NewNetwork(eng, spec.Cubes, topo, chain.DefaultParams())
-	if err != nil {
-		return Result{}, err
-	}
-	return runDrivers(spec, o, mem.NewChain(eng, nw))
-}
-
-// runDDR executes a scenario on the DDR4 backend: one or more
-// interleaved DDR4-2400 channels under the same tenant drivers.
-func runDDR(spec Spec, o Options) (Result, error) {
-	eng := sim.NewEngine()
-	be, err := mem.NewDDR(eng, mem.DDRConfig{Channels: spec.Channels})
-	if err != nil {
-		return Result{}, err
-	}
-	return runDrivers(spec, o, be)
 }
 
 // String renders a one-line summary of the run.

@@ -141,8 +141,9 @@ type Tenant struct {
 	// and retires at Stop (0 = the whole run). Reported rates are
 	// normalized to the tenant's live overlap with the measured
 	// window, so a tenant live for half the window shows its true
-	// rate, not half of it. Generic-driver paths only (ddr4, chain,
-	// and single-engine hmc, which re-routes like thermal/faults do).
+	// rate, not half of it. Tenant drivers only: ddr4, chain, and hmc
+	// with Groups == 1, whose tenants then lower onto tenant drivers
+	// as they do under thermal and faults.
 	Start, Stop sim.Duration
 	// QoS attaches a latency SLO target and service class.
 	QoS QoS
@@ -172,8 +173,8 @@ type Spec struct {
 	// Refresh enables background DRAM refresh (hmc backend only).
 	Refresh bool
 	// Groups partitions the backend into that many independent
-	// replicas, one per PDES shard (default 1 = the classic
-	// single-engine run). Partition cut points follow the hardware's
+	// replicas, one per PDES shard (default 1 = one backend on a
+	// one-shard mesh). Partition cut points follow the hardware's
 	// natural seams: chain specs split Cubes into Groups equal
 	// sub-chains behind separate host links (unlocking >8 cubes),
 	// ddr4 specs split Channels into Groups independent channel sets,

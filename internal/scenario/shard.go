@@ -2,21 +2,24 @@ package scenario
 
 import (
 	"hmcsim/internal/chain"
+	"hmcsim/internal/fault"
 	"hmcsim/internal/fpga"
 	"hmcsim/internal/gups"
+	"hmcsim/internal/hmc"
 	"hmcsim/internal/mem"
 	"hmcsim/internal/runner"
 	"hmcsim/internal/sim"
 )
 
-// This file is the sharded runner: the compilation target for specs
-// with Groups > 1 (and, via Options.forceMesh, the parity harness for
-// Groups == 1). The spec's groups become independent backend replicas,
-// one per shard of a sim.Mesh; tenants run on their home shard's
-// engine, and a tenant's Remote fraction crosses shards through the
-// mesh's windowed batch exchange. The partition lives in the Spec, so
-// the result bytes depend only on the spec and seed — Options.Shards
-// picks how many goroutines execute the mesh, never what it computes.
+// This file is the scenario runner, the one compilation target of
+// every spec. The spec's groups become the shards of a sim.Mesh, one
+// backend replica per shard; a Groups == 1 spec is a one-shard,
+// windowless mesh, whose Run is a single Engine.RunUntil. Tenants run
+// on their home shard's engine, and a tenant's Remote fraction crosses
+// shards through the mesh's windowed batch exchange. The partition
+// lives in the Spec, so the result bytes depend only on the spec and
+// seed — Options.Shards picks how many goroutines execute the mesh,
+// never what it computes.
 
 // shardWorkers resolves the requested shard worker count against the
 // mesh width and the process-wide core budget. The returned release
@@ -36,177 +39,241 @@ func shardWorkers(req, groups int) (int, func()) {
 	return 1 + extra, func() { runner.Cores.Release(extra) }
 }
 
-// runSharded executes a partitioned spec across a PDES mesh.
-func runSharded(spec Spec, o Options) (Result, error) {
-	if spec.Backend == "hmc" {
-		return runShardedHMC(spec, o)
-	}
-	groups := spec.Groups
-	mesh := sim.NewMesh(groups)
-
-	backends := make([]mem.Backend, groups)
-	switch spec.Backend {
-	case "ddr4":
-		per := spec.Channels / groups
-		for g := 0; g < groups; g++ {
-			be, err := mem.NewDDR(mesh.Shard(g).Engine(), mem.DDRConfig{Channels: per})
-			if err != nil {
-				return Result{}, err
-			}
-			backends[g] = be
-		}
-	default: // chain
-		topo := chain.Chain
-		if spec.Topology == "ring" {
-			topo = chain.Ring
-		}
-		per := spec.Cubes / groups
-		for g := 0; g < groups; g++ {
-			eng := mesh.Shard(g).Engine()
-			nw, err := chain.NewNetwork(eng, per, topo, chain.DefaultParams())
-			if err != nil {
-				return Result{}, err
-			}
-			backends[g] = mem.NewChain(eng, nw)
-		}
-	}
-
-	anyRemote := false
-	for _, t := range spec.Tenants {
-		if t.Remote > 0 {
-			anyRemote = true
-			break
-		}
-	}
-	if anyRemote {
-		// The lookahead window is the backends' latency floor: no
-		// cross-shard access can land sooner, so flush-aligned delivery
-		// at window boundaries never reorders against local traffic a
-		// shard has already committed. Without remote traffic the mesh
-		// stays windowless and each Run is one barrier-free chunk.
-		mesh.SetWindow(backends[0].MinLatency())
-	}
-
-	horizon := o.Warmup + o.Measure
-	drivers := make([]*tenantDriver, len(spec.Tenants))
-	for ti, t := range spec.Tenants {
-		be := backends[t.Home]
-		port := be.Port(ti)
-		if t.Remote > 0 {
-			peers := make([]mem.Port, groups)
-			shards := make([]*sim.MeshShard, groups)
-			for g := 0; g < groups; g++ {
-				peers[g] = backends[g].Port(ti)
-				shards[g] = mesh.Shard(g)
-			}
-			port = &meshPort{
-				local:  port,
-				shard:  mesh.Shard(t.Home),
-				shards: shards,
-				peers:  peers,
-				home:   t.Home,
-				groups: groups,
-				frac:   t.Remote,
-				// A dedicated stream, offset from the tenant's mix RNG,
-				// so adding Remote to a tenant never perturbs its
-				// read/write draws.
-				rng: sim.NewRNG(gups.PortSeed(o.Seed, ti) ^ 0x5c5c5c5c),
-			}
-		}
-		d, err := newTenantDriverPort(be, port, t, ti, o, horizon)
-		if err != nil {
-			return Result{}, err
-		}
-		drivers[ti] = d
-		d.start()
-	}
-
-	workers, release := shardWorkers(o.Shards, groups)
-	defer release()
-	mesh.Run(o.Warmup, workers)
-	for _, d := range drivers {
-		d.mon.Reset()
-		d.measuring = true
-	}
-	mesh.Run(horizon, workers)
-
-	accums := make([]monAccum, len(drivers))
-	var total monAccum
-	for ti, d := range drivers {
-		accums[ti].add(d.mon)
-		accums[ti].addResilience(d.errs, d.retries, d.abandoned, d.failed)
-		total.add(d.mon)
-		total.addResilience(d.errs, d.retries, d.abandoned, d.failed)
-	}
-	return assemble(spec, o, accums, total), nil
-}
-
-// runShardedHMC executes an hmc spec as Groups independent AC-510
-// boards (the EX-700 carrier shape): each group's tenants keep the
-// cycle-accurate gups.Port issue loops on a full rig living on that
-// group's shard engine. Port seeds stay keyed by the global port
-// index, so tenant streams match the single-board compilation of the
-// same tenant list.
-func runShardedHMC(spec Spec, o Options) (Result, error) {
-	groups := spec.Groups
-	pcs, owner, err := portConfigs(spec, o.Seed)
+// run executes the (defaulted, validated) spec on a mesh of its groups.
+func run(spec Spec, o Options) (Result, error) {
+	mesh := sim.NewMesh(spec.Groups)
+	boards, err := buildBoards(spec, o, mesh)
 	if err != nil {
 		return Result{}, err
 	}
-	groupPcs := make([][]gups.PortConfig, groups)
-	groupOwner := make([][]int, groups) // per-group port -> global tenant
-	for pi, pc := range pcs {
-		g := spec.Tenants[owner[pi]].Home
-		groupPcs[g] = append(groupPcs[g], pc)
-		groupOwner[g] = append(groupOwner[g], owner[pi])
-	}
+	return runOn(spec, o, mesh, boards)
+}
 
-	mesh := sim.NewMesh(groups)
-	horizon := o.Warmup + o.Measure
-	rigs := make([]*gups.Rig, groups)
-	for g := 0; g < groups; g++ {
-		base := gups.Config{Seed: o.Seed, Warmup: o.Warmup, Measure: o.Measure}
-		if n := len(groupPcs[g]); n > fpga.DefaultParams().Ports {
-			fp := fpga.DefaultParams()
-			fp.Ports = n
-			base.FPGAParams = &fp
-		}
-		rig, err := gups.BuildRigPortsOn(mesh.Shard(g).Engine(), base, groupPcs[g])
+// board is one group's built memory system: the backend that tenant
+// drivers submit to and, when the tenants lower onto gups ports, the
+// rig's ports with the index of the tenant owning each.
+type board struct {
+	be    mem.Backend
+	ports []*gups.Port
+	owner []int
+}
+
+// buildBoards builds every group's backend on its shard engine and
+// holds the lowering rule: undecorated hmc tenants get one
+// cycle-accurate gups.Port per declared port (tag pool, write FIFO,
+// bank stop signal); every other run gets one tenantDriver per tenant
+// (see runOn). Port seeds stay keyed by the global port index, so a
+// tenant's streams do not depend on how the spec is grouped.
+func buildBoards(spec Spec, o Options, mesh *sim.Mesh) ([]board, error) {
+	groups := spec.Groups
+	boards := make([]board, groups)
+	onPorts := spec.Backend == "hmc" && !o.Thermal && !o.Faults.Active() && !spec.needsGenericDrivers()
+	pcs := make([][]gups.PortConfig, groups)
+	if onPorts {
+		all, owner, err := portConfigs(spec, o.Seed)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
-		if spec.Refresh {
-			rig.Dev.StartRefresh(horizon, false)
+		for pi, pc := range all {
+			g := spec.Tenants[owner[pi]].Home
+			pcs[g] = append(pcs[g], pc)
+			boards[g].owner = append(boards[g].owner, owner[pi])
 		}
-		rigs[g] = rig
+	}
+	topo := chain.Chain
+	if spec.Topology == "ring" {
+		topo = chain.Ring
+	}
+	for g := range boards {
+		eng := mesh.Shard(g).Engine()
+		switch spec.Backend {
+		case "hmc":
+			var cfg gups.Config
+			ports := len(pcs[g])
+			if !onPorts {
+				// The tenant drivers open one FPGA port per tenant, not
+				// per declared port, on an HMC11 cube, while the gups
+				// ports get the HMC10 default; both differences are the
+				// port collapse of ROADMAP item 1.
+				cfg.Generation = hmc.HMC11
+				ports = len(spec.Tenants)
+			}
+			if fp := fpga.DefaultParams(); ports > fp.Ports {
+				fp.Ports = ports
+				cfg.FPGAParams = &fp
+			}
+			rig, err := gups.BuildRigPortsOn(eng, cfg, pcs[g])
+			if err != nil {
+				return nil, err
+			}
+			if spec.Refresh {
+				rig.Dev.StartRefresh(o.Warmup+o.Measure, false)
+			}
+			boards[g].be, boards[g].ports = rig.Backend, rig.Ports
+		case "ddr4":
+			be, err := mem.NewDDR(eng, mem.DDRConfig{Channels: spec.Channels / groups})
+			if err != nil {
+				return nil, err
+			}
+			boards[g].be = be
+		default: // chain
+			nw, err := chain.NewNetwork(eng, spec.Cubes/groups, topo, chain.DefaultParams())
+			if err != nil {
+				return nil, err
+			}
+			boards[g].be = mem.NewChain(eng, nw)
+		}
+	}
+	return boards, nil
+}
+
+// issueLoop is one traffic source the runner drives: a tenantDriver,
+// or the gups.Port of one declared port of an undecorated hmc tenant.
+type issueLoop interface {
+	start()
+	// measure discards the warmup's completions and opens the
+	// measured window.
+	measure()
+	// fold adds the measured window to the owning tenant's and the
+	// run's accumulators.
+	fold(tenant, total *monAccum)
+}
+
+type portLoop struct{ p *gups.Port }
+
+func (l portLoop) start() { l.p.Start() }
+
+func (l portLoop) measure() {
+	l.p.ResetMonitor()
+	l.p.SetMeasuring(true)
+}
+
+func (l portLoop) fold(tenant, total *monAccum) {
+	m := l.p.Monitor()
+	tenant.add(m)
+	total.add(m)
+}
+
+// runOn runs the spec's tenants on built boards, one per mesh shard.
+// On a Groups == 1 spec the fault injector wraps the backend first
+// (innermost: the device is what fails), then the thermal throttle,
+// whose feedback runtime samples the stack through both windows (the
+// device heats during warmup, like real hardware). Tenants without
+// gups ports lower onto tenant drivers, each on its home board.
+func runOn(spec Spec, o Options, mesh *sim.Mesh, boards []board) (Result, error) {
+	horizon := o.Warmup + o.Measure
+	var inj *fault.Injector
+	var loop *thermalLoop
+	if spec.Groups == 1 { // Run rejects faults and thermal on sharded specs
+		be := boards[0].be
+		if o.Faults.Plan != "" {
+			plan, err := fault.ParsePlan(o.Faults.Plan)
+			if err != nil {
+				return Result{}, err
+			}
+			if !plan.Zero() {
+				if inj, err = buildInjector(be, plan, o.Seed); err != nil {
+					return Result{}, err
+				}
+				be = inj
+			}
+		}
+		if o.Thermal {
+			var err error
+			if loop, err = buildThermalLoop(o, be); err != nil {
+				return Result{}, err
+			}
+			be = loop.throttle
+			loop.runtime.Start(horizon)
+		}
+		boards[0].be = be
+	}
+	for _, t := range spec.Tenants {
+		if t.Remote > 0 {
+			// The lookahead window is the backends' latency floor: no
+			// cross-shard access can land sooner, so flush-aligned
+			// delivery at window boundaries never reorders against
+			// local traffic a shard has already committed. Without
+			// remote traffic the mesh stays windowless and each Run is
+			// one barrier-free chunk.
+			mesh.SetWindow(boards[0].be.MinLatency())
+			break
+		}
 	}
 
-	for _, rig := range rigs {
-		for _, p := range rig.Ports {
-			p.Start()
+	var loops []issueLoop
+	var owner []int // loop -> tenant index
+	for _, b := range boards {
+		for pi, p := range b.ports {
+			loops = append(loops, portLoop{p})
+			owner = append(owner, b.owner[pi])
 		}
 	}
-	workers, release := shardWorkers(o.Shards, groups)
+	if loops == nil {
+		for ti, t := range spec.Tenants {
+			be := boards[t.Home].be
+			port := be.Port(ti)
+			if t.Remote > 0 {
+				port = newMeshPort(mesh, boards, port, t, ti, o.Seed)
+			}
+			d, err := newTenantDriver(be, port, t, ti, o, horizon)
+			if err != nil {
+				return Result{}, err
+			}
+			loops = append(loops, d)
+			owner = append(owner, ti)
+		}
+	}
+	for _, l := range loops {
+		l.start()
+	}
+	if inj != nil {
+		inj.Start(horizon)
+	}
+
+	workers, release := shardWorkers(o.Shards, spec.Groups)
 	defer release()
 	mesh.Run(o.Warmup, workers)
-	for _, rig := range rigs {
-		for _, p := range rig.Ports {
-			p.ResetMonitor()
-			p.SetMeasuring(true)
-		}
+	for _, l := range loops {
+		l.measure()
 	}
 	mesh.Run(horizon, workers)
 
 	accums := make([]monAccum, len(spec.Tenants))
 	var total monAccum
-	for g, rig := range rigs {
-		for pi, p := range rig.Ports {
-			m := p.Monitor()
-			accums[groupOwner[g][pi]].add(m)
-			total.add(m)
-		}
+	for i, l := range loops {
+		l.fold(&accums[owner[i]], &total)
 	}
-	return assemble(spec, o, accums, total), nil
+	res := assemble(spec, o, accums, total)
+	if loop != nil {
+		res.Thermal = loop.stats()
+	}
+	return res, nil
+}
+
+// newMeshPort builds tenant ti's issue point on a sharded spec: local
+// traffic to its home board's port, a Remote fraction to the others.
+func newMeshPort(mesh *sim.Mesh, boards []board, local mem.Port, t Tenant, ti int, seed uint64) *meshPort {
+	groups := len(boards)
+	peers := make([]mem.Port, groups)
+	shards := make([]*sim.MeshShard, groups)
+	for g := range boards {
+		peers[g] = boards[g].be.Port(ti)
+		shards[g] = mesh.Shard(g)
+	}
+	return &meshPort{
+		local:  local,
+		shard:  mesh.Shard(t.Home),
+		shards: shards,
+		peers:  peers,
+		home:   t.Home,
+		groups: groups,
+		frac:   t.Remote,
+		// A dedicated stream, offset from the tenant's mix RNG, so
+		// adding Remote to a tenant never perturbs its read/write
+		// draws.
+		rng: sim.NewRNG(gups.PortSeed(seed, ti) ^ 0x5c5c5c5c),
+	}
 }
 
 // meshPort splits one tenant's traffic between its home replica and

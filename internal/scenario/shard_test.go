@@ -61,27 +61,6 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestMeshParity: routing a Groups == 1 spec through the sharded
-// runner (a one-shard mesh) reproduces the classic single-engine
-// compilation byte-for-byte on every backend. The mesh is a scheduling
-// layer, not a model change.
-func TestMeshParity(t *testing.T) {
-	for _, name := range []string{"uniform", "chain-4", "tenants-4-ddr4"} {
-		t.Run(name, func(t *testing.T) {
-			spec, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := quickShard()
-			direct := render(MustRun(spec, o))
-			o.forceMesh = true
-			if meshed := render(MustRun(spec, o)); meshed != direct {
-				t.Errorf("%s: meshed run diverged from direct run:\n%s\n### direct:\n%s", name, meshed, direct)
-			}
-		})
-	}
-}
-
 // TestShardRemoteTraffic: remote accesses actually cross the exchange
 // — the remote spec's tail stretches past the local-only spec's
 // (each crossing is flush-aligned to the lookahead window) while the
@@ -95,28 +74,5 @@ func TestShardRemoteTraffic(t *testing.T) {
 	}
 	if remote.Total.Reads == 0 || local.Total.Reads == 0 {
 		t.Fatal("no traffic measured")
-	}
-}
-
-// BenchmarkMeshParity pins the cost of the mesh layer itself: the same
-// Groups == 1 spec through the classic runner vs a one-shard mesh. The
-// delta is pure kernel overhead (check_bench.sh gates it).
-func BenchmarkMeshParity(b *testing.B) {
-	spec, err := ByName("chain-4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		mesh bool
-	}{{"direct", false}, {"mesh1", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			o := quickShard()
-			o.forceMesh = mode.mesh
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MustRun(spec, o)
-			}
-		})
 	}
 }

@@ -166,12 +166,12 @@ func (t Tenant) checkRate(what string, mrps float64) error {
 
 // needsGenericDrivers reports whether any tenant uses a traffic
 // feature the cycle-accurate gups.Port path cannot express: ramped
-// phase curves, bursty arrivals, or lifecycle start/stop.
-// Single-engine hmc specs with such tenants compile onto the generic
-// tenant drivers (the thermal/fault precedent); fixed-rate phase
-// schedules lower natively onto gups.PortConfig.Schedule. Validate
-// rejects these features on sharded hmc boards (Groups > 1), which
-// keep the gups.Port loops.
+// phase curves, bursty arrivals, or lifecycle start/stop. The
+// lowering rule in buildBoards then puts the tenants of an hmc spec
+// with Groups == 1 on tenant drivers, as thermal and faults do;
+// fixed-rate phase schedules lower natively onto
+// gups.PortConfig.Schedule. Validate rejects these features on
+// sharded hmc boards (Groups > 1), which keep the gups.Port loops.
 func (s Spec) needsGenericDrivers() bool {
 	for _, t := range s.Tenants {
 		if t.Start != 0 || t.Stop != 0 || t.Inject.Mode == "burst" {
@@ -188,8 +188,8 @@ func (s Spec) needsGenericDrivers() bool {
 
 // portSchedule lowers a fixed-rate phase script onto the gups.Port
 // step schedule (per-port pacing, like IssueInterval). Ramped phases
-// never reach this path — Run routes them to the generic drivers and
-// Validate rejects them on sharded hmc — so a ramp here is an
+// never reach this path — buildBoards lowers them onto tenant drivers
+// and Validate rejects them on sharded hmc — so a ramp here is an
 // internal dispatch error.
 func (t Tenant) portSchedule() ([]gups.RateStep, error) {
 	if t.Inject.Mode != "phased" {

@@ -272,3 +272,45 @@ type fuzzRecorder struct{ s *fuzzSender }
 func (r *fuzzRecorder) Fire(e *Engine) {
 	r.s.logs[r.s.dst] = append(r.s.logs[r.s.dst], fmt.Sprintf("%s@%d", r.s.tag, int64(e.Now())))
 }
+
+// parityPop is the seeded Handler stream of BenchmarkMeshParity: every
+// firing reschedules the handler 50-350 ns out, so a population of 64
+// keeps a few-ns mean pop gap, the density of a scenario run.
+type parityPop struct{ rng *RNG }
+
+func (p *parityPop) Fire(e *Engine) {
+	e.ScheduleHandler(50*Nanosecond+Duration(p.rng.Uint64n(300_000)), p)
+}
+
+func seedParityPop(e *Engine) {
+	p := &parityPop{rng: NewRNG(1)}
+	for i := 0; i < 64; i++ {
+		e.ScheduleHandler(Duration(i)*Nanosecond, p)
+	}
+}
+
+// BenchmarkMeshParity pins the cost of the mesh layer itself: the same
+// seeded stream through Engine.RunUntil and through a one-shard,
+// windowless mesh, with the warmup and measure calls a scenario run
+// makes. The delta is pure mesh overhead (check_bench.sh gates it).
+func BenchmarkMeshParity(b *testing.B) {
+	const warmup, horizon = 50 * Microsecond, 300 * Microsecond
+	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e := NewEngine()
+			seedParityPop(e)
+			e.RunUntil(warmup)
+			e.RunUntil(horizon)
+		}
+	})
+	b.Run("mesh1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := NewMesh(1)
+			seedParityPop(m.Shard(0).Engine())
+			m.Run(warmup, 1)
+			m.Run(horizon, 1)
+		}
+	})
+}

@@ -81,7 +81,7 @@ go test . -run '^$' -bench '^BenchmarkShardScaling$' \
 # The parity pair is cheap but gated tightly (mesh overhead); longer
 # benchtime + repeats push VM frequency/cache warmup noise below the
 # gate's threshold (the awk below averages repeated counts).
-go test ./internal/scenario -run '^$' -bench '^BenchmarkMeshParity$' \
+go test ./internal/sim -run '^$' -bench '^BenchmarkMeshParity$' \
   -benchtime 10x -count 2 -benchmem \
   | tee -a "$out/pdes.txt"
 
